@@ -14,6 +14,10 @@ let make_stats () =
     connects = Stats.Counter.create ();
   }
 
+(* Message bodies carry a fixed fill: [Bytes.create] would put whatever the
+   heap held onto the wire and into packet captures. *)
+let payload len = Bytes.make len 'r'
+
 (* Count complete [msg_size] messages in a byte stream; carry the remainder
    between arrivals. *)
 let message_counter msg_size =
@@ -30,7 +34,7 @@ let server transport ~port ~msg_size ~app_cycles =
       let pending_replies = ref 0 in
       let rec reply conn =
         if !pending_replies > 0 then begin
-          let sent = Transport.send conn (Bytes.create msg_size) in
+          let sent = Transport.send conn (payload msg_size) in
           if sent = msg_size then begin
             decr pending_replies;
             reply conn
@@ -73,7 +77,7 @@ let flood_server transport ~port ~msg_size ~app_cycles ~sent =
       let remaining = ref 0 in
       let rec flood conn =
         if !remaining > 0 then begin
-          let n = Transport.send conn (Bytes.create !remaining) in
+          let n = Transport.send conn (payload !remaining) in
           remaining := !remaining - n;
           if !remaining = 0 then begin
             Stats.Counter.incr sent;
@@ -81,7 +85,7 @@ let flood_server transport ~port ~msg_size ~app_cycles ~sent =
           end
         end
         else begin
-          let n = Transport.send conn (Bytes.create msg_size) in
+          let n = Transport.send conn (payload msg_size) in
           if n = msg_size then begin
             Stats.Counter.incr sent;
             Transport.charge_app conn app_cycles (fun () -> flood conn)
@@ -114,7 +118,7 @@ let closed_loop_clients sim transport ~n ~dst_ip ~dst_port ~msg_size
     let count = message_counter msg_size in
     let fire conn =
       Queue.add (Sim.now sim) sent_at;
-      ignore (Transport.send conn (Bytes.create msg_size))
+      ignore (Transport.send conn (payload msg_size))
     in
     Transport.connect transport ~dst_ip ~dst_port (fun _conn ->
         {
@@ -185,7 +189,7 @@ let flood_clients _sim transport ~n ~dst_ip ~dst_port ~msg_size () =
         if Bytes.length !pending = 0 then flood conn
       end
       else begin
-        let msg = Bytes.create msg_size in
+        let msg = payload msg_size in
         let sent = Transport.send conn msg in
         if sent = msg_size then flood conn
         else if sent > 0 then

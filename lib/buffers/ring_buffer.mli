@@ -6,7 +6,13 @@
     offset in [\[tail, tail + capacity)] maps to a physical slot. Addressing
     by stream offset (rather than physical index) lets the TAS fast path
     deposit out-of-order segments at their final position and lets the
-    transmit path re-read unacknowledged data for retransmission. *)
+    transmit path re-read unacknowledged data for retransmission.
+
+    [capacity] is the {e logical} size: the modelled window and the Table-3
+    buffer size. The {e resident} backing on the host heap is allocated on
+    first write and grows (powers of two, at least 64 B, clamped to the
+    capacity; never shrinking) to cover the live window each access asks
+    for, so an idle or lightly used flow costs no payload storage. *)
 
 type t
 
@@ -26,6 +32,10 @@ val used : t -> int
 
 val free : t -> int
 (** [capacity - used]. *)
+
+val resident_bytes : t -> int
+(** Bytes of host backing currently allocated: 0 until the first write, and
+    at most [capacity]. An observer only; it does not affect the model. *)
 
 val push : t -> bytes -> off:int -> len:int -> int
 (** [push t b ~off ~len] copies at most [len] bytes at [head], advances

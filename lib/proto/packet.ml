@@ -97,9 +97,17 @@ let of_wire buf =
   { eth; ip; tcp; payload; span = -1; corrupt = false; refs = 1; pooled = false }
 
 let tcp_checksum_ok buf =
-  let ip = Ipv4_header.read buf ~off:Eth_header.size in
   let tcp_off = Eth_header.size + Ipv4_header.size in
+  Bytes.length buf >= tcp_off
+  && (Eth_header.read buf ~off:0).Eth_header.ethertype
+     = Eth_header.ethertype_ipv4
+  && Char.code (Bytes.get buf Eth_header.size) lsr 4 = 4
+  &&
+  let ip = Ipv4_header.read buf ~off:Eth_header.size in
   let tcp_len = ip.Ipv4_header.total_length - Ipv4_header.size in
+  tcp_len >= Tcp_header.min_size
+  && tcp_off + tcp_len <= Bytes.length buf
+  &&
   let acc = pseudo_header_sum ip tcp_len in
   let acc = Checksum.ones_complement_sum ~acc buf ~off:tcp_off ~len:tcp_len in
   Checksum.finish acc = 0

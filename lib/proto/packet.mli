@@ -70,7 +70,10 @@ val of_wire : bytes -> t
 (** Parse wire format. @raise Invalid_argument on corrupt input. *)
 
 val tcp_checksum_ok : bytes -> bool
-(** Validate the TCP checksum of a wire-format packet. *)
+(** Validate the TCP checksum of a wire-format packet. Never raises: it is
+    [false] for a frame shorter than its Ethernet and IPv4 headers, a
+    non-IPv4 frame (ethertype or version), and an IPv4 [total_length] too
+    small for a TCP header or extending past the end of the buffer. *)
 
 val mark_pooled : t -> unit
 (** Mark the payload as pool-owned: the final {!release} will surface it for

@@ -43,7 +43,8 @@ let options_size opts =
   (* Pad to a 4-byte boundary with NOPs. *)
   (n + 3) / 4 * 4
 
-let size t = 20 + options_size t.options
+let min_size = 20
+let size t = min_size + options_size t.options
 
 let set16 buf off v =
   Bytes.set buf off (Char.chr ((v lsr 8) land 0xff));

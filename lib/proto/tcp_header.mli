@@ -42,8 +42,11 @@ val data_flags : flags
 
 val ack_flags : flags
 
+val min_size : int
+(** Wire size of a header without options: 20 bytes. *)
+
 val size : t -> int
-(** Wire size: 20 bytes plus padded options. *)
+(** Wire size: [min_size] plus padded options. *)
 
 val write : t -> bytes -> off:int -> int
 (** Serializes (checksum field written as zero; TCP checksums over the

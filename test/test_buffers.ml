@@ -99,6 +99,245 @@ let prop_ring_fifo =
         ops;
       !ok && Ring.used r = Queue.length reference)
 
+(* --- Ring buffer: resident backing ---------------------------------------- *)
+
+(* A stream of distinct-ish bytes starting at stream offset [from]. *)
+let stream ~from len = Bytes.init len (fun i -> Char.chr ((from + i) * 7 land 0xff))
+
+let pop_string r len =
+  let dst = Bytes.create len in
+  let n = Ring.pop r ~dst ~dst_off:0 ~len in
+  Bytes.sub_string dst 0 n
+
+let test_ring_lazy_backing () =
+  let r = Ring.create 65536 in
+  Alcotest.(check int) "nothing resident before the first write" 0
+    (Ring.resident_bytes r);
+  Alcotest.(check int) "logical capacity" 65536 (Ring.capacity r);
+  Alcotest.(check int) "free is the logical window" 65536 (Ring.free r);
+  ignore (Ring.push r (stream ~from:0 10) ~off:0 ~len:10);
+  Alcotest.(check int) "first write backs the 64 B minimum" 64
+    (Ring.resident_bytes r);
+  Alcotest.(check int) "free unchanged by backing" 65526 (Ring.free r)
+
+let test_ring_growth_clamps () =
+  let resident_after cap len =
+    let r = Ring.create cap in
+    ignore (Ring.push r (stream ~from:0 len) ~off:0 ~len);
+    Ring.resident_bytes r
+  in
+  Alcotest.(check int) "capacity 1" 1 (resident_after 1 1);
+  Alcotest.(check int) "clamped below the minimum" 40 (resident_after 40 40);
+  Alcotest.(check int) "power of two" 128 (resident_after 100_000 65);
+  Alcotest.(check int) "clamped to a non-power-of-two capacity" 100
+    (resident_after 100 70);
+  Alcotest.(check int) "65535 clamps" 65535 (resident_after 65535 40_000)
+
+let test_ring_growth_across_wrap () =
+  (* The live window wraps the physical end of the 64 B backing when the
+     ring grows; growth must re-lay it by stream offset. *)
+  let r = Ring.create 4096 in
+  ignore (Ring.push r (stream ~from:0 40) ~off:0 ~len:40);
+  ignore (pop_string r 30);
+  ignore (Ring.push r (stream ~from:40 30) ~off:0 ~len:30);
+  Alcotest.(check int) "still 64 B, window [30, 70) wraps" 64
+    (Ring.resident_bytes r);
+  ignore (Ring.push r (stream ~from:70 100) ~off:0 ~len:100);
+  Alcotest.(check int) "grown to cover 140 B" 256 (Ring.resident_bytes r);
+  Alcotest.(check string) "stream intact in order"
+    (Bytes.to_string (stream ~from:30 140))
+    (pop_string r 140)
+
+let test_ring_growth_keeps_ooo () =
+  (* Out-of-order bytes beyond [head] and unacknowledged bytes below it
+     survive growth at their stream offsets. *)
+  let r = Ring.create 4096 in
+  ignore (Ring.push r (stream ~from:0 10) ~off:0 ~len:10);
+  Ring.write_at r ~pos:50 (stream ~from:50 10) ~off:0 ~len:10;
+  Ring.write_at r ~pos:300 (stream ~from:300 20) ~off:0 ~len:20;
+  Alcotest.(check int) "grown to cover [0, 320)" 512 (Ring.resident_bytes r);
+  let dst = Bytes.create 10 in
+  Ring.read_at r ~pos:0 ~dst ~dst_off:0 ~len:10;
+  Alcotest.(check string) "unacknowledged bytes re-readable"
+    (Bytes.to_string (stream ~from:0 10)) (Bytes.to_string dst);
+  Ring.read_at r ~pos:50 ~dst ~dst_off:0 ~len:10;
+  Alcotest.(check string) "out-of-order bytes kept"
+    (Bytes.to_string (stream ~from:50 10)) (Bytes.to_string dst);
+  Ring.write_at r ~pos:10 (stream ~from:10 40) ~off:0 ~len:40;
+  Ring.write_at r ~pos:60 (stream ~from:60 240) ~off:0 ~len:240;
+  Ring.advance_head r 310;
+  Alcotest.(check string) "gaps filled, stream in order"
+    (Bytes.to_string (stream ~from:0 320))
+    (pop_string r 320)
+
+let test_ring_create_contract () =
+  List.iter
+    (fun cap ->
+      Alcotest.(check bool) (Printf.sprintf "create %d rejected" cap) true
+        (try
+           ignore (Ring.create cap);
+           false
+         with Invalid_argument _ -> true))
+    [ 0; -1 ]
+
+(* Random operation sequences against a flat reference stream: a table of
+   the bytes deposited at each stream offset, plus the model's head and
+   tail. Positions are drawn relative to the model's tail or head so that
+   in-window, out-of-order and out-of-window accesses all occur. *)
+type anchor = From_tail | From_head
+
+type ring_op =
+  | Push of int
+  | Write_at of anchor * int * int
+  | Advance_head of int
+  | Read_at of anchor * int * int
+  | Pop of int
+  | Advance_tail of int
+
+let show_ring_op = function
+  | Push n -> Printf.sprintf "push %d" n
+  | Write_at (a, d, n) ->
+    Printf.sprintf "write_at %s%+d len %d"
+      (if a = From_tail then "tail" else "head") d n
+  | Advance_head n -> Printf.sprintf "advance_head %d" n
+  | Read_at (a, d, n) ->
+    Printf.sprintf "read_at %s%+d len %d"
+      (if a = From_tail then "tail" else "head") d n
+  | Pop n -> Printf.sprintf "pop %d" n
+  | Advance_tail n -> Printf.sprintf "advance_tail %d" n
+
+let ring_ops_arb =
+  let open QCheck.Gen in
+  let gen =
+    oneofl [ 1; 64; 4096; 65535 ] >>= fun cap ->
+    (* Mostly packet-sized lengths, sometimes up to (and past) capacity,
+       and occasionally negative to reach the argument checks. *)
+    let len =
+      frequency
+        [ (6, int_range 0 (min cap 200)); (2, int_range 0 (cap + 2));
+          (1, int_range (-2) 0) ]
+    in
+    let anchor = oneofl [ From_tail; From_head ] in
+    let delta = frequency [ (4, int_range (-3) 300); (1, int_range (-3) (cap + 3)) ] in
+    let op =
+      frequency
+        [
+          (3, map (fun n -> Push (abs n)) len);
+          (3, map3 (fun a d n -> Write_at (a, d, n)) anchor delta len);
+          (2, map (fun n -> Advance_head n) len);
+          (2, map3 (fun a d n -> Read_at (a, d, n)) anchor delta len);
+          (2, map (fun n -> Pop (abs n)) len);
+          (2, map (fun n -> Advance_tail n) len);
+        ]
+    in
+    map (fun ops -> (cap, ops)) (list_size (int_range 1 60) op)
+  in
+  QCheck.make gen ~print:(fun (cap, ops) ->
+      Printf.sprintf "capacity %d: %s" cap
+        (String.concat "; " (List.map show_ring_op ops)))
+
+let prop_ring_reference_model =
+  QCheck.Test.make ~name:"ring buffer matches a flat reference stream"
+    ~count:400 ring_ops_arb (fun (cap, ops) ->
+      let r = Ring.create cap in
+      let written = Hashtbl.create 64 in
+      let head = ref 0 and tail = ref 0 and extent = ref 0 in
+      let fail fmt = Printf.ksprintf (fun s -> QCheck.Test.fail_report s) fmt in
+      let touch stop = extent := max !extent (stop - !tail) in
+      let check_bytes what pos (b : bytes) len =
+        for i = 0 to len - 1 do
+          match Hashtbl.find_opt written (pos + i) with
+          | Some c when c <> Bytes.get b i ->
+            fail "%s: byte at stream offset %d differs" what (pos + i)
+          | _ -> ()
+        done
+      in
+      let deposit pos (b : bytes) len =
+        for i = 0 to len - 1 do
+          Hashtbl.replace written (pos + i) (Bytes.get b i)
+        done
+      in
+      (* [expect_invalid] ops must raise Invalid_argument and change
+         nothing; the others must not raise. *)
+      let guarded what ~expect_invalid f =
+        let before = (Ring.head r, Ring.tail r, Ring.resident_bytes r) in
+        match f () with
+        | () ->
+          if expect_invalid then
+            fail "%s: accepted, expected Invalid_argument" what
+        | exception Invalid_argument _ ->
+          if not expect_invalid then fail "%s: unexpected Invalid_argument" what
+          else if (Ring.head r, Ring.tail r, Ring.resident_bytes r) <> before then
+            fail "%s: state changed on rejection" what
+      in
+      let outside pos len = pos < !tail || pos + len > !tail + cap in
+      let pos_of = function From_tail -> ( + ) !tail | From_head -> ( + ) !head in
+      List.iter
+        (fun op ->
+          let what = show_ring_op op in
+          (match op with
+          | Push len ->
+            let src = stream ~from:!head len in
+            let n = Ring.push r src ~off:0 ~len in
+            let want = min len (cap - (!head - !tail)) in
+            if n <> want then fail "%s: accepted %d, want %d" what n want;
+            if n > 0 then begin
+              touch (!head + n);
+              deposit !head src n;
+              head := !head + n
+            end
+          | Write_at (a, d, len) ->
+            let pos = pos_of a d in
+            let src = stream ~from:pos (max 0 len) in
+            guarded what ~expect_invalid:(outside pos len || len < 0) (fun () ->
+                Ring.write_at r ~pos src ~off:0 ~len);
+            if not (outside pos len) && len > 0 then begin
+              touch (pos + len);
+              deposit pos src len
+            end
+          | Advance_head n ->
+            let invalid = n < 0 || !head + n > !tail + cap in
+            guarded what ~expect_invalid:invalid (fun () -> Ring.advance_head r n);
+            if not invalid then head := !head + n
+          | Read_at (a, d, len) ->
+            let pos = pos_of a d in
+            let dst = Bytes.create (max 0 len) in
+            guarded what ~expect_invalid:(outside pos len || len < 0) (fun () ->
+                Ring.read_at r ~pos ~dst ~dst_off:0 ~len);
+            if not (outside pos len) && len > 0 then begin
+              touch (pos + len);
+              check_bytes what pos dst len
+            end
+          | Pop len ->
+            let dst = Bytes.create len in
+            let n = Ring.pop r ~dst ~dst_off:0 ~len in
+            let want = min len (!head - !tail) in
+            if n <> want then fail "%s: popped %d, want %d" what n want;
+            if n > 0 then begin
+              touch (!tail + n);
+              check_bytes what !tail dst n;
+              tail := !tail + n
+            end
+          | Advance_tail n ->
+            let invalid = n < 0 || n > !head - !tail in
+            guarded what ~expect_invalid:invalid (fun () -> Ring.advance_tail r n);
+            if not invalid then tail := !tail + n);
+          if (Ring.head r, Ring.tail r) <> (!head, !tail) then
+            fail "%s: head/tail (%d, %d), want (%d, %d)" what
+                      (Ring.head r) (Ring.tail r) !head !tail;
+          if Ring.capacity r <> cap || Ring.used r <> !head - !tail
+             || Ring.free r <> cap - (!head - !tail)
+          then fail "%s: capacity/used/free drifted" what;
+          let resident = Ring.resident_bytes r in
+          let bound = min cap (max 64 (2 * !extent)) in
+          if !extent = 0 && resident <> 0 then
+            fail "%s: %d B resident before any access" what resident;
+          if resident > bound || resident < min cap !extent then
+            fail "%s: %d B resident outside [%d, %d]" what resident
+                      (min cap !extent) bound)
+        ops;
+      true)
+
 (* --- SPSC queue ------------------------------------------------------------- *)
 
 let test_spsc_fifo () =
@@ -345,6 +584,13 @@ let suite =
     Alcotest.test_case "ring partial push" `Quick test_ring_partial_push;
     Alcotest.test_case "ring out-of-order deposit" `Quick test_ring_write_at_ooo;
     Alcotest.test_case "ring bounds checks" `Quick test_ring_bounds_checks;
+    Alcotest.test_case "ring backing is lazy" `Quick test_ring_lazy_backing;
+    Alcotest.test_case "ring backing clamps" `Quick test_ring_growth_clamps;
+    Alcotest.test_case "ring grows across the wrap" `Quick
+      test_ring_growth_across_wrap;
+    Alcotest.test_case "ring growth keeps out-of-order bytes" `Quick
+      test_ring_growth_keeps_ooo;
+    Alcotest.test_case "ring create contract" `Quick test_ring_create_contract;
     Alcotest.test_case "spsc fifo" `Quick test_spsc_fifo;
     Alcotest.test_case "spsc full" `Quick test_spsc_full;
     Alcotest.test_case "spsc drain" `Quick test_spsc_drain;
@@ -365,6 +611,7 @@ let suite =
     Alcotest.test_case "ooo eviction at capacity" `Quick
       test_ooo_eviction_at_capacity;
     QCheck_alcotest.to_alcotest prop_ring_fifo;
+    QCheck_alcotest.to_alcotest prop_ring_reference_model;
     QCheck_alcotest.to_alcotest prop_spsc_conservation;
     QCheck_alcotest.to_alcotest prop_ooo_stream_consistency;
   ]

@@ -28,4 +28,5 @@ let () =
       ("arena", Test_arena.suite);
       ("control", Test_control.suite);
       ("recovery", Test_recovery.suite);
+      ("footprint", Test_footprint.suite);
     ]

@@ -15,6 +15,8 @@ module Tas = Tas_core.Tas
 module Libtas = Tas_core.Libtas
 module Slow_path = Tas_core.Slow_path
 module E = Tas_baseline.Tcp_engine
+module Transport = Tas_apps.Transport
+module Rpc_echo = Tas_apps.Rpc_echo
 
 let test_pcap_roundtrip () =
   let sim = Sim.create () in
@@ -192,10 +194,52 @@ let test_multi_context_app () =
         (Core.busy_ns c > 0))
     cores
 
+(* An echo RPC run captured on the wire in both directions. Message bodies
+   must be a deterministic fill, never uninitialised heap bytes, so two
+   identical runs produce byte-identical captures. *)
+let rpc_echo_capture () =
+  let sim = Sim.create () in
+  let net = Topology.point_to_point sim () in
+  let a = net.Topology.a and b = net.Topology.b in
+  let tap = Tap.create () in
+  Port.set_deliver b.Topology.uplink
+    (Tap.wrap tap sim (fun p -> Nic.input a.Topology.nic p));
+  Port.set_deliver a.Topology.uplink
+    (Tap.wrap tap sim (fun p -> Nic.input b.Topology.nic p));
+  let server = E.create sim a.Topology.nic E.default_config in
+  let client = E.create sim b.Topology.nic E.default_config in
+  E.attach server;
+  E.attach client;
+  Rpc_echo.server (Transport.of_engine server) ~port:7 ~msg_size:200
+    ~app_cycles:0;
+  let stats = Rpc_echo.make_stats () in
+  Rpc_echo.closed_loop_clients sim (Transport.of_engine client) ~n:3
+    ~dst_ip:(Nic.ip a.Topology.nic) ~dst_port:7 ~msg_size:200 ~pipeline:2
+    ~stats ();
+  Sim.run ~until:(Time_ns.us 300) sim;
+  (Pcap.of_tap tap, Tap.records tap)
+
+let test_rpc_echo_pcap_deterministic () =
+  let image1, records = rpc_echo_capture () in
+  (* Churn the heap between runs so stale bytes would differ. *)
+  ignore (Sys.opaque_identity (List.init 10_000 (fun i -> Bytes.make 64 (Char.chr (i land 0xff)))));
+  let image2, _ = rpc_echo_capture () in
+  let payload_bytes =
+    List.fold_left
+      (fun acc r -> acc + Packet.payload_len r.Tap.pkt)
+      0 records
+  in
+  Alcotest.(check bool) "requests and replies carried payload" true
+    (payload_bytes > 2_000);
+  Alcotest.(check bool) "captures are byte-identical" true
+    (Bytes.equal image1 image2)
+
 let suite =
   [
     Alcotest.test_case "pcap round-trip" `Quick test_pcap_roundtrip;
     Alcotest.test_case "pcap rejects garbage" `Quick test_pcap_rejects_garbage;
+    Alcotest.test_case "rpc echo captures are deterministic" `Quick
+      test_rpc_echo_pcap_deterministic;
     Alcotest.test_case "connect to dead port fails" `Quick
       test_connect_to_dead_port_fails;
     Alcotest.test_case "listener refusal" `Quick test_listener_refusal;

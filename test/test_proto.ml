@@ -281,6 +281,51 @@ let test_wire_checksum_detects_payload_corruption () =
   Alcotest.(check bool) "corrupted payload fails checksum" false
     (Packet.tcp_checksum_ok wire)
 
+let test_wire_checksum_never_raises () =
+  let tcp =
+    { Tcp.src_port = 1; dst_port = 2; seq = 3; ack = 4;
+      flags = Tcp.data_flags; window = 100; options = Tcp.no_options }
+  in
+  let pkt =
+    Packet.make ~src_mac:1 ~dst_mac:2 ~src_ip:(Addr.host_ip 1)
+      ~dst_ip:(Addr.host_ip 2) ~tcp ~payload:(Bytes.of_string "hello world") ()
+  in
+  let wire = Packet.to_wire pkt in
+  let len = Bytes.length wire in
+  let ok b =
+    match Packet.tcp_checksum_ok b with
+    | v -> v
+    | exception e ->
+      Alcotest.failf "raised %s on a %d-byte frame" (Printexc.to_string e)
+        (Bytes.length b)
+  in
+  Alcotest.(check bool) "intact frame valid" true (ok wire);
+  for n = 0 to len - 1 do
+    Alcotest.(check bool) (Printf.sprintf "truncated to %d bytes" n) false
+      (ok (Bytes.sub wire 0 n))
+  done;
+  (* IPv4 total_length sits at frame offset 16. The IPv4 header checksum
+     is not rewritten: only the TCP check is under test. *)
+  let with_total_length v =
+    let b = Bytes.copy wire in
+    Bytes.set b 16 (Char.chr ((v lsr 8) land 0xff));
+    Bytes.set b 17 (Char.chr (v land 0xff));
+    b
+  in
+  List.iter
+    (fun v ->
+      Alcotest.(check bool) (Printf.sprintf "total_length %d" v) false
+        (ok (with_total_length v)))
+    [ 0; 1; 19; 20; 21; 39; len - 14 + 1; len; 0xffff ];
+  let not_ipv4 off byte =
+    let b = Bytes.copy wire in
+    Bytes.set b off (Char.chr byte);
+    b
+  in
+  Alcotest.(check bool) "ethertype not IPv4" false (ok (not_ipv4 12 0x86));
+  Alcotest.(check bool) "IP version 6" false (ok (not_ipv4 14 0x65));
+  Alcotest.(check bool) "empty buffer" false (ok Bytes.empty)
+
 let test_flow_hash_symmetric () =
   let tcp =
     { Tcp.src_port = 1111; dst_port = 22; seq = 0; ack = 0;
@@ -319,6 +364,8 @@ let suite =
       test_sack_empty_is_free;
     Alcotest.test_case "wire checksum catches corruption" `Quick
       test_wire_checksum_detects_payload_corruption;
+    Alcotest.test_case "wire checksum never raises" `Quick
+      test_wire_checksum_never_raises;
     Alcotest.test_case "flow hash symmetric" `Quick test_flow_hash_symmetric;
     QCheck_alcotest.to_alcotest prop_seq_add_diff;
     QCheck_alcotest.to_alcotest prop_seq_ordering_antisym;
