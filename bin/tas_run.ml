@@ -561,6 +561,17 @@ let autoscale_cmd quick json_flag decisions_n bench_dir =
 
 open Cmdliner
 
+(* Every count and duration option: zero or negative describes no run at
+   all, so it is a usage error (exit 124) rather than a crash or an empty
+   report. *)
+let pos_int =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n > 0 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "%S is not a positive integer" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let bench_dir_arg =
   let doc =
     "Directory for BENCH_*.json artifacts (overrides \\$TAS_BENCH_DIR)."
@@ -569,7 +580,7 @@ let bench_dir_arg =
 
 let trace_capacity_arg =
   let doc = "Trace/span ring capacity (events) for telemetry experiments." in
-  Arg.(value & opt (some int) None & info [ "trace-capacity" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some pos_int) None & info [ "trace-capacity" ] ~docv:"N" ~doc)
 
 let quick =
   let doc = "Reduced sweeps and durations (CI-friendly)." in
@@ -585,7 +596,7 @@ let jobs_arg =
      and artifacts are merged in submission order, so everything except \
      per-artifact timing is identical to a serial run."
   in
-  Arg.(value & opt int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
+  Arg.(value & opt pos_int 1 & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
 let run_main list quick jobs bench_dir trace_capacity ids =
   apply_opts bench_dir trace_capacity;
@@ -633,11 +644,12 @@ let perf_cmd_v =
     [
       `S Manpage.s_description;
       `P
-        "Measures the packet hot path on the host wall clock: bulk \
-         TAS<->TAS packet operations and minor words per packet, pipelined \
-         RPC rate, wire-format round trips, and simulator event churn. \
-         Each run also re-measures with buffer pooling disabled (the \
-         pre-optimization behaviour) and writes both sets to \
+        "Measures the packet hot path on the host wall clock, from \
+         single fast-path primitives (checksum, flow hash, ring copy, SPSC \
+         queue, OOO verdict, rate-bucket budget) through wire-format round \
+         trips, flow-table lookups, vector bursts and simulator event churn \
+         to bulk TAS<->TAS packet operations (with minor words per packet) \
+         and pipelined RPC rate, and writes the results to \
          BENCH_perf.json. With $(b,--check), compares against a saved \
          baseline: wall-clock throughput gets a generous tolerance band \
          (machine dependent), allocations per operation a tight one \
@@ -666,7 +678,7 @@ let list_cmd_v =
 
 let duration_arg default =
   let doc = "Simulated duration of the diagnostic run (milliseconds)." in
-  Arg.(value & opt int default & info [ "duration-ms" ] ~docv:"MS" ~doc)
+  Arg.(value & opt pos_int default & info [ "duration-ms" ] ~docv:"MS" ~doc)
 
 let flows_cmd_v =
   let doc = "dump per-flow TCP state (paper Table 3) as JSON" in
@@ -690,7 +702,7 @@ let flows_cmd_v =
       "Snapshot the same simulation $(docv) times, every --duration-ms of \
        simulated time, and emit the snapshots as one JSON list."
     in
-    Arg.(value & opt int 1 & info [ "watch"; "w" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 1 & info [ "watch"; "w" ] ~docv:"N" ~doc)
   in
   Cmd.v
     (Cmd.info "flows" ~doc ~man)
@@ -713,7 +725,7 @@ let stats_cmd_v =
   in
   let runs =
     let doc = "Number of independent runs in the batch." in
-    Arg.(value & opt int 4 & info [ "runs" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 4 & info [ "runs" ] ~docv:"N" ~doc)
   in
   Cmd.v
     (Cmd.info "stats" ~doc ~man)
@@ -727,7 +739,7 @@ let trace_cmd_v =
   in
   let sample_every =
     let doc = "Sample one packet origin in every N." in
-    Arg.(value & opt int 16 & info [ "sample-every" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 16 & info [ "sample-every" ] ~docv:"N" ~doc)
   in
   let man =
     [
@@ -758,11 +770,11 @@ let top_cmd_v =
   in
   let interval =
     let doc = "Refresh interval in simulated milliseconds." in
-    Arg.(value & opt int 2 & info [ "interval-ms" ] ~docv:"MS" ~doc)
+    Arg.(value & opt pos_int 2 & info [ "interval-ms" ] ~docv:"MS" ~doc)
   in
   let frames =
     let doc = "Number of dashboard frames to print." in
-    Arg.(value & opt int 5 & info [ "frames" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 5 & info [ "frames" ] ~docv:"N" ~doc)
   in
   Cmd.v (Cmd.info "top" ~doc ~man) Term.(const top_cmd $ interval $ frames)
 
@@ -790,7 +802,7 @@ let timeline_cmd_v =
   let interval_us =
     let doc = "Override the timeline frame interval (microseconds)." in
     Arg.(
-      value & opt (some int) None & info [ "interval" ] ~docv:"US" ~doc)
+      value & opt (some pos_int) None & info [ "interval" ] ~docv:"US" ~doc)
   in
   let json_flag =
     let doc = "Print the raw TIMELINE_<id>.json document to stdout." in
@@ -823,11 +835,11 @@ let health_cmd_v =
   in
   let interval_us =
     let doc = "Timeline frame interval (microseconds)." in
-    Arg.(value & opt int 1000 & info [ "interval" ] ~docv:"US" ~doc)
+    Arg.(value & opt pos_int 1000 & info [ "interval" ] ~docv:"US" ~doc)
   in
   let conns =
     let doc = "Number of client connections in the workload." in
-    Arg.(value & opt int 8 & info [ "conns" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 8 & info [ "conns" ] ~docv:"N" ~doc)
   in
   Cmd.v
     (Cmd.info "health" ~doc ~man)
@@ -855,7 +867,7 @@ let autoscale_cmd_v =
   in
   let decisions_n =
     let doc = "Number of trailing controller decisions to print per policy." in
-    Arg.(value & opt int 10 & info [ "decisions"; "n" ] ~docv:"N" ~doc)
+    Arg.(value & opt pos_int 10 & info [ "decisions"; "n" ] ~docv:"N" ~doc)
   in
   Cmd.v
     (Cmd.info "autoscale" ~doc ~man)

@@ -6,47 +6,32 @@ type t = {
   max_fast_path_cores : int;
   cc : Tas_tcp.Interval_cc.algorithm;
   initial_rate_bps : float;
-  control_interval_rtts : int;
   control_interval_min_ns : int;
   control_interval_fixed_ns : int option;
   timeout_intervals : int;
-  handshake_retries : int;
-  handshake_rto_ns : int;
-  fin_retries : int;
-  fin_rto_ns : int;
   dead_flow_timeout_ns : int option;
   rx_ooo_enabled : bool;
   recovery_policy : Tas_recovery.Policy.kind;
-  sack_max_ranges : int;
-  rack_reo_wnd_ns : int;
-  tlp_pto_ns : int;
   context_queue_capacity : int;
   dynamic_scaling : bool;
   scale_check_interval_ns : int;
   scale_policy : Tas_control.Policy.spec;
   idle_block_ns : int;
-  wakeup_ns : int;
   fp_driver_cycles : int;
   fp_rx_cycles : int;
   fp_tx_cycles : int;
   fp_ack_rx_cycles : int;
-  fp_burst_enabled : bool;
-  fp_burst_size : int;
   flow_arena_enabled : bool;
   flow_arena_capacity : int;
   sp_conn_cycles : int;
   sp_flow_control_cycles : int;
   flow_shards_enabled : bool;
-  shard_lock_cycles : int;
-  shard_lock_remote_cycles : int;
   trace_enabled : bool;
   trace_capacity : int;
-  span_enabled : bool;
-  span_sample_every : int;
-  span_capacity : int;
   timeline_interval_ns : int;
-  timeline_capacity : int;
 }
+
+let handshake_rto_ns = 20_000_000
 
 let default =
   {
@@ -57,54 +42,35 @@ let default =
     max_fast_path_cores = 4;
     cc = Tas_tcp.Interval_cc.Dctcp_rate { step_bps = 10e6 };
     initial_rate_bps = 100e6;
-    control_interval_rtts = 2;
     control_interval_min_ns = 50_000;
     control_interval_fixed_ns = None;
     timeout_intervals = 2;
-    handshake_retries = 5;
-    handshake_rto_ns = 20_000_000;
-    fin_retries = 8;
-    fin_rto_ns = 20_000_000;
     dead_flow_timeout_ns = None;
     rx_ooo_enabled = true;
     (* Loss recovery: [Reno] is the paper's dup-ACK go-back-N machinery,
        byte-identical to the seed; [Sack] / [Rack_tlp] grow the receiver
-       to [sack_max_ranges] out-of-order intervals (advertised as SACK
-       blocks, at most 3 on the wire) and drive the sender scoreboard.
-       [rack_reo_wnd_ns] / [tlp_pto_ns] of 0 mean RTT-derived defaults
-       (srtt/4 and 2*srtt). *)
+       to several out-of-order intervals (advertised as SACK blocks, at
+       most 3 on the wire) and drive the sender scoreboard. *)
     recovery_policy = Tas_recovery.Policy.Reno;
-    sack_max_ranges = 4;
-    rack_reo_wnd_ns = 0;
-    tlp_pto_ns = 0;
     context_queue_capacity = 4096;
     dynamic_scaling = false;
     scale_check_interval_ns = 500_000_000;
     scale_policy = Tas_control.Policy.paper_default;
     idle_block_ns = 10_000_000;
-    wakeup_ns = 5_000;
     (* Table 1: TAS spends 0.09 kc driver + 0.81 kc TCP per request (one
        data RX incl. ACK generation, one data TX, one ACK RX). *)
     fp_driver_cycles = 30;
     fp_rx_cycles = 450;
     fp_tx_cycles = 260;
     fp_ack_rx_cycles = 100;
-    fp_burst_enabled = true;
-    fp_burst_size = 32;
     flow_arena_enabled = true;
     flow_arena_capacity = 4096;
     sp_conn_cycles = 3000;
     sp_flow_control_cycles = 80;
     flow_shards_enabled = true;
-    shard_lock_cycles = 24;
-    shard_lock_remote_cycles = 96;
     trace_enabled = false;
     trace_capacity = 8192;
-    span_enabled = false;
-    span_sample_every = 16;
-    span_capacity = 65536;
     timeline_interval_ns = 0;
-    timeline_capacity = 4096;
   }
 
 let rate_mode t =

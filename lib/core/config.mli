@@ -8,22 +8,12 @@ type t = {
   max_fast_path_cores : int;
   cc : Tas_tcp.Interval_cc.algorithm;
   initial_rate_bps : float;  (** starting rate for new flows *)
-  control_interval_rtts : int;  (** slow-path CC loop period, default 2 RTTs *)
   control_interval_min_ns : int;  (** floor when RTT is tiny/unknown *)
   control_interval_fixed_ns : int option;
       (** force a fixed control interval τ (the Fig. 11 sweep) *)
   timeout_intervals : int;
       (** control intervals without snd_una progress before the slow path
           triggers a retransmission (default 2, §3.2) *)
-  handshake_retries : int;
-      (** SYN / SYN-ACK retransmissions before the connection attempt is
-          failed with [Timeout] (default 5) *)
-  handshake_rto_ns : int;  (** handshake retransmission timeout (20 ms) *)
-  fin_retries : int;
-      (** FIN retransmissions before the flow is forcibly torn down
-          (default 8); unbounded FIN retry would leak flow state when the
-          peer vanishes mid-close *)
-  fin_rto_ns : int;  (** FIN retransmission timeout (20 ms) *)
   dead_flow_timeout_ns : int option;
       (** reap established flows that have in-flight or queued data but make
           no sequence progress for this long (the peer is gone and not even
@@ -38,15 +28,6 @@ type t = {
           seed; [Sack] adds receiver SACK blocks + a sender scoreboard
           with selective retransmit; [Rack_tlp] adds time-based loss
           detection and tail-loss probes on top of [Sack] *)
-  sack_max_ranges : int;
-      (** out-of-order intervals tracked per flow under a SACK-class
-          policy (default 4; at most 3 are advertised per ACK beside the
-          timestamp option). [Reno] always keeps the paper's single
-          interval *)
-  rack_reo_wnd_ns : int;
-      (** RACK reordering window; 0 (default) = srtt/4 *)
-  tlp_pto_ns : int;
-      (** tail-loss-probe timeout; 0 (default) = 2*srtt *)
   context_queue_capacity : int;
   dynamic_scaling : bool;  (** workload-proportional core scaling, §3.4 *)
   scale_check_interval_ns : int;
@@ -55,18 +36,11 @@ type t = {
           the elastic controller; default {!Tas_control.Policy.paper_default}
           (the paper's 1.25/0.2 idle-core thresholds) *)
   idle_block_ns : int;  (** fast-path thread blocks after this idle time *)
-  wakeup_ns : int;  (** cost of waking a blocked fast-path thread *)
   (* Fast-path per-packet CPU costs (cycles), calibrated to Table 1. *)
   fp_driver_cycles : int;
   fp_rx_cycles : int;  (** receive data segment, including ACK generation *)
   fp_tx_cycles : int;  (** segmentation + transmit *)
   fp_ack_rx_cycles : int;  (** process incoming ACK, reclaim tx buffer *)
-  fp_burst_enabled : bool;
-      (** batch fast-path receive into vector passes over each core's
-          backlog (DPDK-burst style, default [true]); [false] processes one
-          packet per dispatch event. Per-packet cycle charges are identical
-          either way — batching amortizes event dispatch and flow lookup *)
-  fp_burst_size : int;  (** max packets per vector pass (default 32) *)
   flow_arena_enabled : bool;
       (** back per-flow state with the off-heap {!Flow_arena} of 102-byte
           Table-3 records (default [true]); [false] keeps the boxed OCaml
@@ -81,32 +55,22 @@ type t = {
           the NIC redirection table (default [true], §3.1); [false] keeps
           one shared table — byte-identical packet behavior, no per-shard
           occupancy/lock accounting *)
-  shard_lock_cycles : int;
-      (** per-flow spinlock cost model: cycles charged for an owner-core
-          (local) acquisition. Accounting only — never posted to a
-          simulated core (Table 2's lock line) *)
-  shard_lock_remote_cycles : int;
-      (** cycles charged for a cross-core acquisition (slow-path flow
-          install/remove, shard migration) *)
   trace_enabled : bool;
       (** record structured telemetry trace events; when [false] (default)
           the trace ring costs one boolean test per would-be event *)
   trace_capacity : int;  (** bounded trace ring size (events) *)
-  span_enabled : bool;
-      (** per-packet latency span tracing; when [false] (default) every span
-          hook costs a single integer comparison *)
-  span_sample_every : int;  (** sample one packet in N at each origin *)
-  span_capacity : int;  (** bounded span-event ring size *)
   timeline_interval_ns : int;
       (** capture a {!Tas_telemetry.Timeline} frame (counter deltas, gauges,
           per-core utilization, shard/arena occupancy) every this many ns of
           sim time; 0 (default) disables the flight recorder entirely — no
           periodic event, no per-interval core accounting *)
-  timeline_capacity : int;
-      (** bounded timeline ring size (frames); oldest evicted when full *)
 }
 
 val default : t
+
+val handshake_rto_ns : int
+(** SYN / SYN-ACK retransmission timeout (20 ms); also the tail-loss-probe
+    timeout of a RACK-TLP flow before its first RTT sample. *)
 
 val rate_mode : t -> bool
 (** Whether the configured congestion control is rate-based. *)

@@ -14,6 +14,12 @@ module Trace = Tas_telemetry.Trace
 module Span = Tas_telemetry.Span
 module Rec = Tas_recovery
 
+(* Max packets per vector pass over a core's receive backlog. *)
+let fp_burst_size = 32
+
+(* Cost of waking a blocked fast-path thread. *)
+let wakeup_ns = 5_000
+
 type stats = {
   mutable rx_data_packets : int;
   mutable rx_ack_packets : int;
@@ -96,7 +102,7 @@ type t = {
   tx_queues : backlog array;
   mutable tx_thunks : (unit -> unit) array;
   memo : memo;
-  scratch : Packet.t array;  (* vector-pass staging, fp_burst_size slots *)
+  scratch : Packet.t array;  (* vector-pass staging, [fp_burst_size] slots *)
   dummy_pkt : Packet.t;
 }
 
@@ -143,10 +149,7 @@ let create ?trace ?span sim ~nic ~cores ~config =
     (* Sharded by RSS queue (one shard per queue, following the NIC's
        redirection table) unless explicitly configured as one table. *)
     if config.Config.flow_shards_enabled then
-      Flow_table.create_sharded
-        ~lock_cycles:config.Config.shard_lock_cycles
-        ~remote_lock_cycles:config.Config.shard_lock_remote_cycles
-        ~rss:(Nic.rss nic) ()
+      Flow_table.create_sharded ~rss:(Nic.rss nic) ()
     else Flow_table.create ()
   in
   let dummy_pkt = make_dummy_packet () in
@@ -207,7 +210,7 @@ let create ?trace ?span sim ~nic ~cores ~config =
         m_dst_ip = -1;
         m_dst_port = -1;
       };
-    scratch = Array.make (max 1 config.Config.fp_burst_size) dummy_pkt;
+    scratch = Array.make fp_burst_size dummy_pkt;
     dummy_pkt;
   }
   in
@@ -418,7 +421,11 @@ let rec_on_transmit t flow ~seq ~len =
    bucket runs dry. Runs on [core]. *)
 let rec maybe_send t flow core =
   let avail = Flow_state.tx_available flow in
-  if avail > 0 && not (Flow_state.fin_sent flow) then begin
+  if
+    avail > 0
+    && (not (Flow_state.fin_sent flow))
+    && not (Flow_state.released flow)
+  then begin
     let peer_budget = Flow_state.window flow - Flow_state.tx_sent flow in
     if peer_budget > 0 then begin
       let want = min t.config.Config.mss (min avail peer_budget) in
@@ -530,22 +537,22 @@ let retransmit_lost t flow core =
       else continue := false
   done
 
-let reo_wnd_of t flow =
-  Rec.Rack_tlp.reo_wnd_ns ~srtt_ns:(Flow_state.rtt_est flow)
-    ~configured:t.config.Config.rack_reo_wnd_ns
+let reo_wnd_of flow = Rec.Rack_tlp.reo_wnd_ns ~srtt_ns:(Flow_state.rtt_est flow)
 
 (* Tail-loss probe: one PTO hangs over the connection while data is in
    flight; on expiry the highest unsacked segment is re-sent to
    manufacture the ACK/SACK feedback RACK needs. Timers are fire-and-
    forget [Sim.post] events validated against the flow's recovery
-   generation — cumulative progress or an RTO rewind bumps [gen] and the
-   stale timer dissolves without touching the flow. *)
+   generation — cumulative progress, an RTO rewind or teardown bumps [gen]
+   and the stale timer dissolves without touching the flow. A released
+   flow never arms one. *)
 let rec arm_tlp t flow core =
   let st = Flow_state.recovery flow in
   if
     st.Rec.State.kind = Rec.Policy.Rack_tlp
     && (not st.Rec.State.tlp_armed)
     && Flow_state.tx_sent flow > 0
+    && not (Flow_state.released flow)
   then begin
     st.Rec.State.tlp_armed <- true;
     let gen = st.Rec.State.gen in
@@ -554,9 +561,8 @@ let rec arm_tlp t flow core =
          its 1 ms floor and probe ahead of the genuine first ACK; fall
          back to the handshake RTO until the estimator warms up. *)
       let srtt = Flow_state.rtt_est flow in
-      if srtt = 0 && t.config.Config.tlp_pto_ns = 0 then
-        t.config.Config.handshake_rto_ns
-      else Rec.Rack_tlp.pto_ns ~srtt_ns:srtt ~configured:t.config.Config.tlp_pto_ns
+      if srtt = 0 then Config.handshake_rto_ns
+      else Rec.Rack_tlp.pto_ns ~srtt_ns:srtt
     in
     Sim.post t.sim pto (fun () ->
         if st.Rec.State.gen = gen then begin
@@ -592,7 +598,7 @@ let arm_reo t flow core =
       st.Rec.State.reo_armed <- true;
       let gen = st.Rec.State.gen in
       let srtt = max 1 (Flow_state.rtt_est flow) in
-      let due = tx + reo_wnd_of t flow + srtt in
+      let due = tx + reo_wnd_of flow + srtt in
       let delay = max 1 (due - Sim.now t.sim) in
       Sim.post t.sim delay (fun () ->
           if st.Rec.State.gen = gen then begin
@@ -600,7 +606,7 @@ let arm_reo t flow core =
             let srtt = Flow_state.rtt_est flow in
             let n =
               Rec.Rack_tlp.on_reo_timer st ~now_ns:(Sim.now t.sim)
-                ~reo_wnd:(reo_wnd_of t flow) ~srtt_ns:srtt
+                ~reo_wnd:(reo_wnd_of flow) ~srtt_ns:srtt
             in
             if n > 0 then begin
               t.rec_stats.rec_reo_timeouts <- t.rec_stats.rec_reo_timeouts + 1;
@@ -628,7 +634,7 @@ let recovery_on_ack t flow core ~una ~blocks ~dup_acks =
     | Rec.Policy.Rack_tlp ->
       let o =
         Rec.Rack_tlp.on_ack st ~una ~snd_nxt ~blocks ~dup_acks
-          ~reo_wnd:(reo_wnd_of t flow)
+          ~reo_wnd:(reo_wnd_of flow)
       in
       (o.Rec.Rack_tlp.newly_sacked, o.Rec.Rack_tlp.newly_lost,
        o.Rec.Rack_tlp.entered, o.Rec.Rack_tlp.exited)
@@ -668,10 +674,7 @@ let trigger_retransmit t flow =
   Core.run core ~cat:Core.Tx ~cycles:100 (fun () ->
       (* RTO-class rewind: forget the scoreboard (segments re-register as
          they are re-sent) and invalidate pending RACK/TLP timers. *)
-      (match Flow_state.recovery_kind flow with
-      | Rec.Policy.Reno -> ()
-      | Rec.Policy.Sack | Rec.Policy.Rack_tlp ->
-        Rec.State.reset (Flow_state.recovery flow));
+      Rec.State.reset (Flow_state.recovery flow);
       (* Reset sender state as if the unacked segments were never sent. *)
       Flow_state.set_seq flow (Flow_state.snd_una flow);
       Flow_state.set_tx_sent flow 0;
@@ -692,77 +695,15 @@ let sample_rtt t flow (tcp : Tcp_header.t) =
          else ((7 * Flow_state.rtt_est flow) + rtt) / 8)
   | _ -> ()
 
-(* The seed's ACK processing, verbatim: cumulative advance plus the
-   triple-duplicate-ACK go-back-N rewind (§3.1 exception 1). The dup-ACK
-   counting/threshold decision lives in {!Tas_recovery.Reno} — extracted,
-   not changed; telemetry and packet behaviour are byte-identical to the
-   pre-extraction fast path. *)
-let process_ack_reno t flow pkt core =
-  let tcp = pkt.Packet.tcp in
-  let acked = Seq32.diff tcp.Tcp_header.ack (Flow_state.snd_una flow) in
-  Flow_state.set_window flow
-    (tcp.Tcp_header.window lsl Flow_state.peer_wscale flow);
-  if acked > 0 then begin
-    (* Accept any ACK covering bytes still in the transmit buffer. After a
-       fast-retransmit rewind the receiver can cumulatively ACK past
-       snd_nxt (it had the later segments buffered); fast-forward. *)
-    if acked <= Ring.used (Flow_state.tx_buf flow) then begin
-      Ring.advance_tail (Flow_state.tx_buf flow) acked;
-      if acked >= Flow_state.tx_sent flow then begin
-        Flow_state.set_seq flow tcp.Tcp_header.ack;
-        Flow_state.set_tx_sent flow 0
-      end
-      else Flow_state.set_tx_sent flow (Flow_state.tx_sent flow - acked);
-      Flow_state.set_dupack_cnt flow 0;
-      Flow_state.set_in_recovery flow false;
-      Flow_state.set_cnt_ackb flow (Flow_state.cnt_ackb flow + acked);
-      if tcp.Tcp_header.flags.Tcp_header.ece then
-        Flow_state.set_cnt_ecnb flow (Flow_state.cnt_ecnb flow + acked);
-      sample_rtt t flow tcp;
-      if Flow_state.tx_interest flow then begin
-        Flow_state.set_tx_interest flow false;
-        match find_context t (Flow_state.context flow) with
-        | Some ctx -> Context.post_writable ctx flow
-        | None -> () (* application exited; flow teardown in progress *)
-      end;
-      maybe_send t flow core
-    end
-    else begin
-      (* ACK beyond what the fast path sent (e.g. of a slow-path FIN). *)
-      t.stats.exceptions_forwarded <- t.stats.exceptions_forwarded + 1;
-      t.exception_handler pkt
-    end
-  end
-  else if
-    acked = 0
-    && Flow_state.tx_sent flow > 0
-    && Bytes.length pkt.Packet.payload = 0
-  then begin
-    match
-      Rec.Reno.on_dup_ack ~dupack_cnt:(Flow_state.dupack_cnt flow)
-        ~in_recovery:(Flow_state.in_recovery flow)
-    with
-    | Rec.Reno.Count cnt -> Flow_state.set_dupack_cnt flow cnt
-    | Rec.Reno.Enter_recovery ->
-      Flow_state.set_dupack_cnt flow (Flow_state.dupack_cnt flow + 1);
-      Flow_state.set_in_recovery flow true;
-      (* Fast recovery: rewind the sender as if the segments beyond the
-         duplicate ACK had not been sent (§3.1 exception 1); the slow path
-         sees cnt_frexmits and cuts the flow's rate. *)
-      Flow_state.set_cnt_frexmits flow (Flow_state.cnt_frexmits flow + 1);
-      t.stats.fast_retransmits <- t.stats.fast_retransmits + 1;
-      trace_ev t Trace.Fast_rexmit ~core:(Core.id core)
-        ~flow:(Flow_state.opaque flow);
-      Flow_state.set_seq flow (Flow_state.snd_una flow);
-      Flow_state.set_tx_sent flow 0;
-      Flow_state.set_dupack_cnt flow 0;
-      maybe_send t flow core
-  end
-
-(* ACK processing for SACK-class policies: same cumulative machinery, but
-   duplicate ACKs and SACK blocks feed the scoreboard engine instead of
-   triggering a go-back-N rewind, and losses are repaired selectively. *)
-let process_ack_modern t flow pkt core =
+(* ACK processing, one path for every policy: cumulative advance, then the
+   policy's duplicate-ACK verdict. Reno keeps the seed's triple-dup-ACK
+   go-back-N rewind (§3.1 exception 1), its counting/threshold decision in
+   {!Tas_recovery.Reno}; SACK-class policies feed duplicate ACKs and SACK
+   blocks to the scoreboard engine and repair losses selectively. The
+   recovery hooks on the cumulative branch leave a Reno flow untouched: its
+   scoreboard stays empty, its episode flag false, and [arm_tlp] /
+   [arm_reo] act only under [Rack_tlp]. *)
+let process_ack t flow pkt core =
   let tcp = pkt.Packet.tcp in
   let st = Flow_state.recovery flow in
   let acked = Seq32.diff tcp.Tcp_header.ack (Flow_state.snd_una flow) in
@@ -770,6 +711,9 @@ let process_ack_modern t flow pkt core =
     (tcp.Tcp_header.window lsl Flow_state.peer_wscale flow);
   let blocks = tcp.Tcp_header.options.Tcp_header.sack in
   if acked > 0 then begin
+    (* Accept any ACK covering bytes still in the transmit buffer. After a
+       fast-retransmit rewind the receiver can cumulatively ACK past
+       snd_nxt (it had the later segments buffered); fast-forward. *)
     if acked <= Ring.used (Flow_state.tx_buf flow) then begin
       Ring.advance_tail (Flow_state.tx_buf flow) acked;
       if acked >= Flow_state.tx_sent flow then begin
@@ -809,17 +753,34 @@ let process_ack_modern t flow pkt core =
     && Flow_state.tx_sent flow > 0
     && Bytes.length pkt.Packet.payload = 0
   then begin
-    Flow_state.set_dupack_cnt flow (Flow_state.dupack_cnt flow + 1);
-    recovery_on_ack t flow core ~una:(Flow_state.snd_una flow) ~blocks
-      ~dup_acks:(Flow_state.dupack_cnt flow);
-    arm_tlp t flow core;
-    arm_reo t flow core
+    match st.Rec.State.kind with
+    | Rec.Policy.Reno -> (
+      match
+        Rec.Reno.on_dup_ack ~dupack_cnt:(Flow_state.dupack_cnt flow)
+          ~in_recovery:(Flow_state.in_recovery flow)
+      with
+      | Rec.Reno.Count cnt -> Flow_state.set_dupack_cnt flow cnt
+      | Rec.Reno.Enter_recovery ->
+        Flow_state.set_dupack_cnt flow (Flow_state.dupack_cnt flow + 1);
+        Flow_state.set_in_recovery flow true;
+        (* Fast recovery: rewind the sender as if the segments beyond the
+           duplicate ACK had not been sent (§3.1 exception 1); the slow
+           path sees cnt_frexmits and cuts the flow's rate. *)
+        Flow_state.set_cnt_frexmits flow (Flow_state.cnt_frexmits flow + 1);
+        t.stats.fast_retransmits <- t.stats.fast_retransmits + 1;
+        trace_ev t Trace.Fast_rexmit ~core:(Core.id core)
+          ~flow:(Flow_state.opaque flow);
+        Flow_state.set_seq flow (Flow_state.snd_una flow);
+        Flow_state.set_tx_sent flow 0;
+        Flow_state.set_dupack_cnt flow 0;
+        maybe_send t flow core)
+    | Rec.Policy.Sack | Rec.Policy.Rack_tlp ->
+      Flow_state.set_dupack_cnt flow (Flow_state.dupack_cnt flow + 1);
+      recovery_on_ack t flow core ~una:(Flow_state.snd_una flow) ~blocks
+        ~dup_acks:(Flow_state.dupack_cnt flow);
+      arm_tlp t flow core;
+      arm_reo t flow core
   end
-
-let process_ack t flow pkt core =
-  match Flow_state.recovery_kind flow with
-  | Rec.Policy.Reno -> process_ack_reno t flow pkt core
-  | Rec.Policy.Sack | Rec.Policy.Rack_tlp -> process_ack_modern t flow pkt core
 
 let process_data t flow pkt core =
   let tcp = pkt.Packet.tcp in
@@ -1044,26 +1005,18 @@ let attach t =
         if Bytes.length pkt.Packet.payload = 0 then Core.Ack_rx
         else Core.Driver_rx
       in
-      if not t.config.Config.fp_burst_enabled then begin
-        if asleep then
-          Core.run_after core ~cat ~delay:t.config.Config.wakeup_ns ~cycles
-            (fun () -> process t pkt core)
-        else Core.run core ~cat ~cycles (fun () -> process t pkt core)
-      end
+      (* Enqueue, charge the packet's cycles, and make sure one drain pass
+         is scheduled. Packets charged behind an armed drain are picked up
+         by it — the cost model is per packet while the processing pass is
+         batched. *)
+      backlog_push t.backlogs.(idx) pkt;
+      if t.drain_armed.(idx) then Core.charge core ~cat ~cycles
       else begin
-        (* Burst mode: enqueue, charge the packet's cycles, and make sure
-           one drain pass is scheduled. Packets charged behind an armed
-           drain are picked up by it — the cost model is unchanged while
-           the processing pass is batched. *)
-        backlog_push t.backlogs.(idx) pkt;
-        if t.drain_armed.(idx) then Core.charge core ~cat ~cycles
-        else begin
-          t.drain_armed.(idx) <- true;
-          if asleep then
-            Core.run_after core ~cat ~delay:t.config.Config.wakeup_ns ~cycles
-              t.drain_thunks.(idx)
-          else Core.run core ~cat ~cycles t.drain_thunks.(idx)
-        end
+        t.drain_armed.(idx) <- true;
+        if asleep then
+          Core.run_after core ~cat ~delay:wakeup_ns ~cycles
+            t.drain_thunks.(idx)
+        else Core.run core ~cat ~cycles t.drain_thunks.(idx)
       end)
 
 let reinject t pkt =

@@ -67,10 +67,9 @@ val create :
 
 val attach : t -> unit
 (** Install the NIC receive handler: packets are charged and processed on
-    the core owning their RSS queue. With [Config.fp_burst_enabled] each
-    arrival is charged immediately but queued on a per-core backlog; one
-    scheduled drain works the backlog off in vector passes of at most
-    [Config.fp_burst_size] packets ({!process_burst}). *)
+    the core owning their RSS queue. Each arrival is charged immediately
+    but queued on a per-core backlog; one scheduled drain works the backlog
+    off in vector passes of at most 32 packets ({!process_burst}). *)
 
 val process_burst :
   t -> Tas_proto.Packet.t array -> count:int -> Tas_cpu.Core.t -> unit

@@ -13,6 +13,10 @@ let bit_fin_received = 5
 let bit_fin_sent = 6
 let bit_rx_closed = 7
 
+(* Set by [release], in the boxed record only: it lies outside the arena's
+   flag byte, and a released handle is always boxed. *)
+let bit_released = 8
+
 (* The boxed (pre-arena) backing: one GC-managed record per flow, kept as
    the reference implementation behind [Config.flow_arena_enabled = false]
    and as the landing pad for handles that outlive their arena slot. *)
@@ -121,10 +125,12 @@ let slot t = match t.store with Slot (_, i) -> Some i | Boxed _ -> None
 (* Teardown: materialize the scalar state back onto the heap, then return
    the slot. Handles retained past teardown (sockets, queued context
    events) keep reading coherent state and can never alias a recycled
-   slot. *)
+   slot. Bumping the recovery generation dissolves pending TLP / RACK
+   timers. *)
 let release t =
+  Tas_recovery.State.bump_gen t.rec_state;
   match t.store with
-  | Boxed _ -> ()
+  | Boxed s -> s.s_flags <- s.s_flags lor (1 lsl bit_released)
   | Slot (a, i) ->
     let s =
       {
@@ -145,13 +151,18 @@ let release t =
         s_cnt_frexmits = A.get_cnt_frexmits a i;
         s_rtt_est = A.get_rtt_est a i;
         s_ts_recent = A.get_ts_recent a i;
-        s_flags = A.get_flags a i;
+        s_flags = A.get_flags a i lor (1 lsl bit_released);
         s_tx_span = A.get_tx_span a i;
         s_rx_span = A.get_rx_span a i;
       }
     in
     t.store <- Boxed s;
     A.free a i
+
+let released t =
+  match t.store with
+  | Boxed s -> s.s_flags land (1 lsl bit_released) <> 0
+  | Slot _ -> false
 
 (* --- Accessors ---------------------------------------------------------- *)
 

@@ -55,8 +55,13 @@ val create :
     interval set (default 1, the paper's single interval). *)
 
 val release : t -> unit
-(** Return the arena slot (no-op for boxed flows); the handle transparently
-    degrades to a boxed copy of its final state. *)
+(** Teardown: return the arena slot; the handle transparently degrades to a
+    boxed copy of its final state. Marks the handle {!released} (for both
+    backings) and invalidates its pending recovery timers. *)
+
+val released : t -> bool
+(** {!release} has run: the flow is gone from its stack and must never
+    transmit again, whatever its buffers still hold. *)
 
 val is_arena_backed : t -> bool
 

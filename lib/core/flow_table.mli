@@ -17,14 +17,11 @@ val create : unit -> t
     pre-sharding behavior; used by components without a NIC (tests,
     microbenchmarks) and when [Config.flow_shards_enabled] is off. *)
 
-val create_sharded :
-  ?lock_cycles:int ->
-  ?remote_lock_cycles:int ->
-  rss:Tas_shard.Rss_table.t ->
-  unit ->
-  t
+val create_sharded : rss:Tas_shard.Rss_table.t -> unit -> t
 (** One shard per queue of [rss] (the NIC's redirection table); installs
-    the shard set as the table's migration consumer. *)
+    the shard set as the table's migration consumer. Spinlock costs are
+    {!Tas_shard.Flow_shards.create}'s defaults (24 local, 96 remote
+    cycles). *)
 
 val add : t -> Tas_proto.Addr.Four_tuple.t -> Flow_state.t -> unit
 (** Slow-path install; charges one remote lock acquisition. *)

@@ -17,6 +17,25 @@ let log_src = Logs.Src.create "tas.slow_path" ~doc:"TAS slow path"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* CC loop period in RTTs (floored by [Config.control_interval_min_ns]). *)
+let control_interval_rtts = 2
+
+(* SYN / SYN-ACK retransmissions before the connection attempt is failed
+   with [Timeout]. *)
+let handshake_retries = 5
+
+(* FIN retransmissions before the flow is forcibly torn down; unbounded FIN
+   retry would leak flow state when the peer vanishes mid-close. *)
+let fin_retries = 8
+
+(* FIN retransmission timeout. *)
+let fin_rto_ns = 20_000_000
+
+(* Out-of-order intervals tracked per flow under a SACK-class policy (at
+   most 3 are advertised per ACK beside the timestamp option); [Reno]
+   always keeps the paper's single interval. *)
+let sack_max_ranges = 4
+
 type conn_error = Timeout | Refused | Reset
 
 let conn_error_name = function
@@ -252,10 +271,10 @@ let rec arm_pending_timer t p =
   cancel_pending_timer t p;
   p.p_timer <-
     Some
-      (Sim.schedule t.sim t.config.Config.handshake_rto_ns (fun () ->
+      (Sim.schedule t.sim Config.handshake_rto_ns (fun () ->
            p.p_timer <- None;
            if Tuple_tbl.mem t.pending p.p_tuple then begin
-             if p.p_retries >= t.config.Config.handshake_retries then begin
+             if p.p_retries >= handshake_retries then begin
                Tuple_tbl.remove t.pending p.p_tuple;
                lifecycle_ev t "handshake_failed" p.p_tuple;
                p.p_cb.failed Timeout
@@ -319,7 +338,7 @@ let establish t p =
           (match t.config.Config.recovery_policy with
           | Tas_recovery.Policy.Reno -> 1
           | Tas_recovery.Policy.Sack | Tas_recovery.Policy.Rack_tlp ->
-            max 1 t.config.Config.sack_max_ranges)
+            sack_max_ranges)
         ~opaque:p.p_opaque ~context:p.p_context ~bucket
         ~rx_buf_size:t.config.Config.rx_buf_size
         ~tx_buf_size:t.config.Config.tx_buf_size
@@ -404,10 +423,10 @@ and arm_fin_timer t entry =
   | None -> ());
   entry.fin_timer <-
     Some
-      (Sim.schedule t.sim t.config.Config.fin_rto_ns (fun () ->
+      (Sim.schedule t.sim fin_rto_ns (fun () ->
            entry.fin_timer <- None;
            if (not entry.removed) && not entry.fin_acked then begin
-             if entry.fin_retries >= t.config.Config.fin_retries then begin
+             if entry.fin_retries >= fin_retries then begin
                (* The peer stopped acknowledging mid-close: force teardown
                   rather than retransmitting the FIN forever. *)
                t.fin_retry_exhausted <- t.fin_retry_exhausted + 1;
@@ -627,7 +646,7 @@ let control_interval_ns t entry =
   | None ->
     let rtt = Flow_state.rtt_est entry.flow in
     max t.config.Config.control_interval_min_ns
-      (t.config.Config.control_interval_rtts * rtt)
+      (control_interval_rtts * rtt)
 
 (* A flow is only declared timed out when snd_una has been frozen for at
    least [timeout_intervals] control intervals AND longer than a few RTTs

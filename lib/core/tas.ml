@@ -43,6 +43,9 @@ let timeline_add_core tl ~role ~interval_ns core =
     ~busy_in:(fun bucket -> Core.util_busy_ns core ~bucket)
     ~backlog:(fun () -> Core.backlog_ns core)
 
+(* Bounded timeline ring size (frames); oldest evicted when full. *)
+let timeline_capacity = 4096
+
 let create sim ~nic ~config ?span ?(freq_ghz = 2.1) () =
   let fp_cores =
     Array.init config.Config.max_fast_path_cores (fun i ->
@@ -54,16 +57,7 @@ let create sim ~nic ~config ?span ?(freq_ghz = 2.1) () =
       Trace.create ~enabled:true ~capacity:config.Config.trace_capacity ()
     else Trace.disabled ()
   in
-  let spans =
-    match span with
-    | Some sp -> sp
-    | None ->
-      if config.Config.span_enabled then
-        Span.create ~enabled:true
-          ~sample_every:config.Config.span_sample_every
-          ~capacity:config.Config.span_capacity ()
-      else Span.disabled ()
-  in
+  let spans = match span with Some sp -> sp | None -> Span.disabled () in
   let fp =
     Fast_path.create ~trace:tracer ~span:spans sim ~nic ~cores:fp_cores ~config
   in
@@ -96,8 +90,7 @@ let create sim ~nic ~config ?span ?(freq_ghz = 2.1) () =
     else begin
       let interval_ns = config.Config.timeline_interval_ns in
       let tl =
-        Timeline.create ~interval_ns
-          ~capacity:config.Config.timeline_capacity ~metrics ()
+        Timeline.create ~interval_ns ~capacity:timeline_capacity ~metrics ()
       in
       Array.iter (timeline_add_core tl ~role:"fp" ~interval_ns) fp_cores;
       timeline_add_core tl ~role:"sp" ~interval_ns sp_core;

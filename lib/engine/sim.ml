@@ -196,7 +196,7 @@ let run ?until t =
         let top = t.heap.(0) in
         if top.cancelled then ignore (pop t)
         else if top.time > limit then begin
-          t.clock <- limit;
+          t.clock <- max t.clock limit;
           continue := false
         end
         else fire t (pop t)

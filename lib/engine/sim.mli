@@ -52,8 +52,10 @@ val pending : t -> int
 
 val run : ?until:Time_ns.t -> t -> unit
 (** [run sim] executes events in time order until the queue is empty, or — if
-    [until] is given — until the clock would pass [until] (the clock is then
-    set to exactly [until]; later events stay queued). *)
+    [until] is given — until the clock would pass [until] (later events stay
+    queued). The clock then reads [max (now sim) until]: it never moves
+    backwards, so a [run ~until] earlier than the current time fires nothing
+    and leaves the clock where it is. *)
 
 val step : t -> bool
 (** [step sim] executes the single next event. Returns [false] if the queue

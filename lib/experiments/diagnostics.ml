@@ -87,9 +87,18 @@ let build ?(sample_every = 16) ?(capacity = 65536) ?(n_conns = 8)
     ~dst_port:7 ~msg_size ~pipeline ~stagger_ns:5_000 ~stats ();
   { sim; span; net; server = server_tas; client = client_tas; stats }
 
-let run t ~duration_ns = Sim.run ~until:duration_ns t.sim
+let check_duration fn duration_ns =
+  if duration_ns <= 0 then
+    invalid_arg (Printf.sprintf "Diagnostics.%s: duration_ns must be > 0" fn)
+
+let run t ~duration_ns =
+  check_duration "run" duration_ns;
+  Sim.run ~until:duration_ns t.sim
 
 let run_with_tick t ~duration_ns ~every_ns f =
+  check_duration "run_with_tick" duration_ns;
+  if every_ns <= 0 then
+    invalid_arg "Diagnostics.run_with_tick: every_ns must be > 0";
   ignore (Sim.periodic t.sim every_ns (fun () -> f ()));
   Sim.run ~until:duration_ns t.sim
 
@@ -127,6 +136,8 @@ let batch_member ~duration_ns i =
   (samples, events, completed)
 
 let batch_stats ?(runs = 4) ~duration_ns () =
+  if runs < 1 then invalid_arg "Diagnostics.batch_stats: runs must be >= 1";
+  check_duration "batch_stats" duration_ns;
   let jobs = max 1 (min (Run_opts.jobs ()) runs) in
   let results =
     let idx = Array.init runs (fun i -> i) in

@@ -32,6 +32,8 @@ val build :
     stream. *)
 
 val run : t -> duration_ns:Tas_engine.Time_ns.t -> unit
+(** Advance the simulation to absolute time [duration_ns].
+    @raise Invalid_argument if [duration_ns <= 0]. *)
 
 val run_with_tick :
   t ->
@@ -40,7 +42,8 @@ val run_with_tick :
   (unit -> unit) ->
   unit
 (** Like {!run} but invokes the callback every [every_ns] of simulated time
-    (the refresh driver for [tas_run top]). *)
+    (the refresh driver for [tas_run top]).
+    @raise Invalid_argument if [duration_ns <= 0] or [every_ns <= 0]. *)
 
 (** Aggregated telemetry over a batch of independent diagnostics runs — the
     cross-domain view behind [tas_run stats]. *)
@@ -63,4 +66,5 @@ val batch_stats :
     and merge every host's metrics registry and trace ring into one
     report. The batch fans out over a domain pool of {!Run_opts.jobs}
     domains; the merge is in submission order and the merged snapshot is
-    sorted, so the result is byte-identical for any jobs setting. *)
+    sorted, so the result is byte-identical for any jobs setting.
+    @raise Invalid_argument if [runs < 1] or [duration_ns <= 0]. *)

@@ -8,7 +8,6 @@ module Tas = Tas_core.Tas
 module Libtas = Tas_core.Libtas
 module Transport = Tas_apps.Transport
 module Rpc_echo = Tas_apps.Rpc_echo
-module Buf_pool = Tas_buffers.Buf_pool
 module Packet = Tas_proto.Packet
 module Tcp_header = Tas_proto.Tcp_header
 module Addr = Tas_proto.Addr
@@ -58,16 +57,32 @@ let median xs =
   let sorted = List.sort compare xs in
   List.nth sorted (List.length sorted / 2)
 
-(* Three consecutive measurement windows, median throughput: wall-clock on a
-   shared machine is noisy, and the median discards the window that caught a
-   scheduler hiccup. Allocation counts are deterministic across windows. *)
-let median_windows sim ~window ~ops =
-  let samples =
-    List.init 3 (fun _ ->
-        let n, wall, words = timed_window sim ~window ~ops in
-        (float_of_int n /. wall, words /. float_of_int n))
-  in
+(* Three consecutive samples of (rate, words/op), median of each: wall-clock
+   on a shared machine is noisy, and the median discards the sample that
+   caught a scheduler hiccup. Allocation counts are deterministic across
+   samples. *)
+let median3 sample =
+  let samples = List.init 3 (fun _ -> sample ()) in
   (median (List.map fst samples), median (List.map snd samples))
+
+let median_windows sim ~window ~ops =
+  median3 (fun () ->
+      let n, wall, words = timed_window sim ~window ~ops in
+      (float_of_int n /. wall, words /. float_of_int n))
+
+(* [iters] calls to [f] per sample, each call counting as [per_iter]
+   operations. *)
+let op_loop ?(per_iter = 1) ~iters f =
+  median3 (fun () ->
+      let w0 = Gc.minor_words () in
+      let t0 = Unix.gettimeofday () in
+      for _ = 1 to iters do
+        f ()
+      done;
+      let wall = Unix.gettimeofday () -. t0 in
+      let words = Gc.minor_words () -. w0 in
+      let n = iters * per_iter in
+      (float_of_int n /. wall, words /. float_of_int n))
 
 (* --- Benchmarks --------------------------------------------------------- *)
 
@@ -151,24 +166,14 @@ let wire ~quick =
   for _ = 1 to 1000 do
     ignore (Packet.of_wire (Packet.to_wire pkt))
   done;
-  let iters = if quick then 20_000 else 60_000 in
-  let samples =
-    List.init 3 (fun _ ->
-        let w0 = Gc.minor_words () in
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to iters do
-          ignore (Packet.of_wire (Packet.to_wire pkt))
-        done;
-        let wall = Unix.gettimeofday () -. t0 in
-        let words = Gc.minor_words () -. w0 in
-        (float_of_int iters /. wall, words /. float_of_int iters))
+  let rate, words_per =
+    op_loop
+      ~iters:(if quick then 20_000 else 60_000)
+      (fun () -> ignore (Packet.of_wire (Packet.to_wire pkt)))
   in
   [
-    m "wire_roundtrips_per_sec" (median (List.map fst samples)) "ops/s"
-      Throughput;
-    m "wire_minor_words_per_roundtrip"
-      (median (List.map snd samples))
-      "words/op" Alloc;
+    m "wire_roundtrips_per_sec" rate "ops/s" Throughput;
+    m "wire_minor_words_per_roundtrip" words_per "words/op" Alloc;
   ]
 
 (* Sharded flow-table lookup: the per-packet work of hashing a four-tuple,
@@ -193,31 +198,22 @@ let flow_lookup ~quick =
         })
   in
   Array.iteri (fun i t -> Shards.add shards t i) tuples;
-  let iters = if quick then 200_000 else 600_000 in
-  let samples =
-    List.init 3 (fun _ ->
-        let w0 = Gc.minor_words () in
-        let t0 = Unix.gettimeofday () in
-        (* Stride coprime with the table size: touches every flow while
-           defeating any sequential-bucket locality a linear scan would
-           enjoy, like independent per-packet arrivals do. *)
-        let j = ref 0 in
-        for _ = 1 to iters do
-          (match Shards.find shards tuples.(!j) with
-          | Some _ -> ()
-          | None -> assert false);
-          j := (!j + 2049) land (n_flows - 1)
-        done;
-        let wall = Unix.gettimeofday () -. t0 in
-        let words = Gc.minor_words () -. w0 in
-        (float_of_int iters /. wall, words /. float_of_int iters))
+  (* Stride coprime with the table size: touches every flow while defeating
+     any sequential-bucket locality a linear scan would enjoy, like
+     independent per-packet arrivals do. *)
+  let j = ref 0 in
+  let rate, words_per =
+    op_loop
+      ~iters:(if quick then 200_000 else 600_000)
+      (fun () ->
+        (match Shards.find shards tuples.(!j) with
+        | Some _ -> ()
+        | None -> assert false);
+        j := (!j + 2049) land (n_flows - 1))
   in
   [
-    m "flow_lookup_per_sec" (median (List.map fst samples)) "ops/s"
-      Throughput;
-    m "flow_lookup_minor_words"
-      (median (List.map snd samples))
-      "words/op" Alloc;
+    m "flow_lookup_per_sec" rate "ops/s" Throughput;
+    m "flow_lookup_minor_words" words_per "words/op" Alloc;
   ]
 
 (* Vector receive pass driven directly: 32-packet same-flow bursts through
@@ -282,26 +278,16 @@ let burst ~quick =
     Fast_path.process_burst fp pkts ~count:burst_len core;
     Sim.run sim
   done;
-  let iters = if quick then 2_000 else 6_000 in
-  let samples =
-    List.init 3 (fun _ ->
-        let w0 = Gc.minor_words () in
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to iters do
-          Fast_path.process_burst fp pkts ~count:burst_len core;
-          Sim.run sim
-        done;
-        let wall = Unix.gettimeofday () -. t0 in
-        let words = Gc.minor_words () -. w0 in
-        let n = iters * burst_len in
-        (float_of_int n /. wall, words /. float_of_int n))
+  let rate, words_per =
+    op_loop ~per_iter:burst_len
+      ~iters:(if quick then 2_000 else 6_000)
+      (fun () ->
+        Fast_path.process_burst fp pkts ~count:burst_len core;
+        Sim.run sim)
   in
   [
-    m "burst_rx_pkts_per_sec" (median (List.map fst samples)) "pkts/s"
-      Throughput;
-    m "burst_minor_words_per_pkt"
-      (median (List.map snd samples))
-      "words/op" Alloc;
+    m "burst_rx_pkts_per_sec" rate "pkts/s" Throughput;
+    m "burst_minor_words_per_pkt" words_per "words/op" Alloc;
   ]
 
 (* Event-queue churn: chains of fire-and-forget [post] events, the shape of
@@ -329,32 +315,73 @@ let events ~quick =
     let fired = max 1 (Sim.events_fired sim) in
     (float_of_int fired /. wall, words /. float_of_int fired)
   in
-  let samples = List.init 3 (fun _ -> one ()) in
+  let rate, words_per = median3 one in
   [
-    m "sim_events_per_sec" (median (List.map fst samples)) "events/s"
-      Throughput;
-    m "sim_minor_words_per_event"
-      (median (List.map snd samples))
-      "words/event" Alloc;
+    m "sim_events_per_sec" rate "events/s" Throughput;
+    m "sim_minor_words_per_event" words_per "words/event" Alloc;
+  ]
+
+(* Single fast-path primitives on fixed inputs: the bottom rung of the
+   ladder below a packet, a burst and the engine. Throughput only; none
+   is in the committed baseline, so none is gated. *)
+let primitives ~quick =
+  let module Ring = Tas_buffers.Ring_buffer in
+  let module Spsc = Tas_buffers.Spsc_queue in
+  let module Ooo = Tas_buffers.Ooo_interval in
+  let module Rate_bucket = Tas_core.Rate_bucket in
+  let tcp =
+    {
+      Tcp_header.src_port = 1234;
+      dst_port = 80;
+      seq = 1000;
+      ack = 2000;
+      flags = Tcp_header.data_flags;
+      window = 65535;
+      options =
+        { Tcp_header.mss = None; wscale = None; timestamp = Some (42, 41);
+          sack = [] };
+    }
+  in
+  let packet =
+    Packet.make ~src_mac:(Addr.host_mac 1) ~dst_mac:(Addr.host_mac 2)
+      ~src_ip:(Addr.host_ip 1) ~dst_ip:(Addr.host_ip 2) ~tcp
+      ~payload:(Bytes.create 64) ()
+  in
+  let wire = Packet.to_wire packet in
+  let ring = Ring.create 65536 in
+  let chunk = Bytes.create 1460 and scratch = Bytes.create 1460 in
+  let spsc = Spsc.create 1024 in
+  let ooo = Ooo.create () in
+  let bucket =
+    Rate_bucket.create (Sim.create ()) (Rate_bucket.Rate 10e9)
+      ~burst_bytes:4096
+  in
+  let iters = if quick then 200_000 else 600_000 in
+  let rate name f = m name (fst (op_loop ~iters f)) "ops/s" Throughput in
+  [
+    rate "checksum_validates_per_sec" (fun () ->
+        ignore (Packet.tcp_checksum_ok wire));
+    rate "flow_hashes_per_sec" (fun () -> ignore (Packet.flow_hash packet));
+    rate "ring_push_pop_1460_per_sec" (fun () ->
+        ignore (Ring.push ring chunk ~off:0 ~len:1460);
+        ignore (Ring.pop ring ~dst:scratch ~dst_off:0 ~len:1460));
+    rate "spsc_push_pop_per_sec" (fun () ->
+        ignore (Spsc.try_push spsc 42);
+        ignore (Spsc.try_pop spsc));
+    rate "ooo_verdicts_per_sec" (fun () ->
+        ignore
+          (Ooo.handle ooo ~exp:0 ~window:65536 ~seg_start:0 ~seg_len:1460));
+    rate "rate_bucket_budgets_per_sec" (fun () ->
+        ignore (Rate_bucket.tx_budget bucket ~in_flight:0 ~want:1460));
   ]
 
 let measure ~quick =
-  (* Start each pass from a normalized heap: without this, whichever pass
-     runs second inherits the first pass's grown major heap and pending GC
-     work and measures a few percent slower across the board. *)
+  (* Start from a normalized heap, so the measured pass does not inherit
+     the warmup pass's grown major heap and pending GC work. *)
   Gc.compact ();
   List.concat
-    [ bulk ~quick; rpc ~quick; wire ~quick; flow_lookup ~quick;
-      burst ~quick; events ~quick ]
-
-(* The same suite with buffer pooling disabled: the pre-PR allocation
-   behaviour, measured on the same build and machine so the artifact
-   carries an honest before/after. *)
-let measure_pre ~quick =
-  Buf_pool.set_reuse false;
-  Fun.protect
-    ~finally:(fun () -> Buf_pool.set_reuse true)
-    (fun () -> measure ~quick)
+    [ primitives ~quick; bulk ~quick; rpc ~quick; wire ~quick;
+      flow_lookup ~quick; burst ~quick; events ~quick ]
 
 (* --- Artifact ----------------------------------------------------------- *)
 
@@ -371,14 +398,13 @@ let metrics_json ms =
              ] ))
        ms)
 
-let artifact_json ~quick ~current ~pre ~wall =
+let artifact_json ~quick ~current ~wall =
   J.Obj
     [
       ("experiment", J.Str "perf");
       ("title", J.Str "Hot-path microbenchmarks (perf-regression gate)");
       ("quick", J.Bool quick);
       ("metrics", metrics_json current);
-      ("pre_pr", metrics_json pre);
       ("timing", J.Obj [ ("run_wall_s", J.Float wall) ]);
     ]
 
@@ -446,31 +472,15 @@ let run ?(quick = false) ?baseline fmt =
   Report.section fmt "Perf: hot-path microbenchmarks";
   let t0 = Unix.gettimeofday () in
   (* Discarded warmup pass: sizes the GC heap and warms code/data caches so
-     neither measured pass pays cold-start costs. *)
+     the measured pass does not pay cold-start costs. *)
   ignore (measure ~quick:true);
-  let pre = measure_pre ~quick in
   let current = measure ~quick in
   let wall = Unix.gettimeofday () -. t0 in
-  let pre_of name =
-    match List.find_opt (fun p -> p.name = name) pre with
-    | Some p -> p.value
-    | None -> nan
-  in
-  Report.table fmt
-    ~header:[ "metric"; "units"; "pre-PR"; "current"; "change" ]
-    ~rows:
-      (List.map
-         (fun mt ->
-           let p = pre_of mt.name in
-           let change =
-             if Float.is_nan p || p = 0.0 then "-"
-             else Printf.sprintf "%+.1f%%" (100.0 *. ((mt.value /. p) -. 1.0))
-           in
-           [ mt.name; mt.units; fnum p; fnum mt.value; change ])
-         current);
+  Report.table fmt ~header:[ "metric"; "units"; "value" ]
+    ~rows:(List.map (fun mt -> [ mt.name; mt.units; fnum mt.value ]) current);
   Format.fprintf fmt "  (%.1fs)@." wall;
   (try
-     let path = write_artifact (artifact_json ~quick ~current ~pre ~wall) in
+     let path = write_artifact (artifact_json ~quick ~current ~wall) in
      Format.fprintf fmt "  # artifact: %s@." path
    with Sys_error msg ->
      Format.fprintf fmt "  # BENCH_perf.json not written: %s@." msg);

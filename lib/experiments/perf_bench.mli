@@ -1,15 +1,15 @@
 (** Hot-path microbenchmarks and the perf-regression gate.
 
-    Four benchmark families measure the simulator's packet hot path on the
-    host wall clock: bulk TAS<->TAS transfer (packet ops/sec and minor
-    words/packet), pipelined small RPCs (RPCs/sec), wire-format round trips
-    (ops/sec and minor words/op), and simulator event churn (events/sec and
-    minor words/event).
-
-    Each full run also re-measures with the buffer pool disabled
-    ({!Tas_buffers.Buf_pool.set_reuse}) — the pre-PR allocation behaviour
-    on the same build — and records both sets in [BENCH_perf.json] under
-    ["metrics"] and ["pre_pr"].
+    One ladder of benchmarks measures the simulator on the host wall clock,
+    bottom to top: single fast-path primitives (checksum validation, flow
+    hash, ring copy, SPSC queue, out-of-order verdict, rate-bucket budget;
+    ops/sec), wire-format round trips and sharded flow-table lookups
+    (ops/sec and minor words/op), vector receive bursts (packets/sec and
+    minor words/packet), simulator event churn (events/sec and minor
+    words/event), and end to end bulk TAS<->TAS transfer (packet ops/sec
+    and minor words/packet) and pipelined small RPCs (RPCs/sec). Op-loop
+    benchmarks share one median-of-3 harness; results go to
+    [BENCH_perf.json] under ["metrics"].
 
     The gate compares a run against a committed baseline artifact
     ([bench/baseline_perf.json], itself a saved [BENCH_perf.json]) with
@@ -21,11 +21,7 @@ type kind = Throughput | Alloc
 type metric = { name : string; value : float; units : string; kind : kind }
 
 val measure : quick:bool -> metric list
-(** Run all benchmark families with the optimizations enabled. *)
-
-val measure_pre : quick:bool -> metric list
-(** The same suite with buffer-pool reuse disabled; always restores the
-    switch. *)
+(** Run every benchmark once. *)
 
 type verdict = {
   metric : string;
@@ -56,6 +52,6 @@ val load_baseline : string -> Tas_telemetry.Json.t
     @raise Tas_telemetry.Json.Parse_error on malformed content. *)
 
 val run : ?quick:bool -> ?baseline:string -> Format.formatter -> bool
-(** Measure (current + pre-PR), print the comparison table, write
+(** Measure after a discarded warmup pass, print the results, write
     [BENCH_perf.json] into the bench dir, and — when [baseline] is given —
     print gate verdicts. Returns [false] iff the gate found a regression. *)

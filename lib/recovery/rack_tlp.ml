@@ -8,11 +8,9 @@ type outcome = {
   exited : bool;
 }
 
-let reo_wnd_ns ~srtt_ns ~configured =
-  if configured > 0 then configured else max (srtt_ns / 4) 1_000
+let reo_wnd_ns ~srtt_ns = max (srtt_ns / 4) 1_000
 
-let pto_ns ~srtt_ns ~configured =
-  if configured > 0 then configured else max (2 * srtt_ns) 1_000_000
+let pto_ns ~srtt_ns = max (2 * srtt_ns) 1_000_000
 
 let on_ack (st : State.t) ~una ~snd_nxt ~blocks ~dup_acks ~reo_wnd =
   let d1 = Scoreboard.ack_to st.State.sb ~una in

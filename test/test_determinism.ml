@@ -163,6 +163,30 @@ let test_span_full_hop_coverage () =
   Alcotest.(check bool) "hop durations decompose end-to-end latency" true
     (e2e_total > 0.0 && abs_float (seg_sum -. e2e_total) /. e2e_total < 1e-9)
 
+(* Diagnostics entry points reject counts and durations that describe no
+   run at all, instead of crashing deep inside or reporting an empty one. *)
+let test_diagnostics_reject_nonsense () =
+  let raises name f =
+    match f () with
+    | () -> Alcotest.failf "%s: expected Invalid_argument" name
+    | exception Invalid_argument _ -> ()
+  in
+  let batch ~runs ~duration_ns () =
+    ignore (Diagnostics.batch_stats ~runs ~duration_ns ())
+  in
+  raises "batch runs=0" (batch ~runs:0 ~duration_ns:(Time_ns.ms 1));
+  raises "batch runs=-3" (batch ~runs:(-3) ~duration_ns:(Time_ns.ms 1));
+  raises "batch duration=0" (batch ~runs:1 ~duration_ns:0);
+  let d = Diagnostics.build ~n_conns:1 () in
+  raises "run duration<0" (fun () ->
+      Diagnostics.run d ~duration_ns:(-Time_ns.ms 5));
+  raises "run duration=0" (fun () -> Diagnostics.run d ~duration_ns:0);
+  raises "tick every=0" (fun () ->
+      Diagnostics.run_with_tick d ~duration_ns:(Time_ns.ms 1) ~every_ns:0
+        ignore);
+  Alcotest.(check int) "rejected runs left the clock alone" 0
+    (Tas_engine.Sim.now d.Diagnostics.sim)
+
 let suite =
   [
     Alcotest.test_case "same seed => identical telemetry" `Quick
@@ -175,4 +199,6 @@ let suite =
       test_same_seed_identical_spans;
     Alcotest.test_case "spans cover every hop of the path" `Quick
       test_span_full_hop_coverage;
+    Alcotest.test_case "diagnostics reject empty runs" `Quick
+      test_diagnostics_reject_nonsense;
   ]

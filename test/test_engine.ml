@@ -56,6 +56,23 @@ let test_run_until () =
   Sim.run sim;
   Alcotest.(check int) "remaining events run" 10 !count
 
+let test_run_until_never_rewinds () =
+  (* An earlier [~until] than the clock must not rewind it, whether or not
+     events are still pending; a later [post] fires relative to the
+     furthest time already reached. *)
+  let sim = Sim.create () in
+  let fired_at = ref [] in
+  ignore (Sim.schedule sim 1000 (fun () -> fired_at := Sim.now sim :: !fired_at));
+  Sim.run ~until:800 sim;
+  Sim.run ~until:500 sim;
+  Alcotest.(check int) "pending queue: clock holds" 800 (Sim.now sim);
+  Sim.post sim 100 (fun () -> fired_at := Sim.now sim :: !fired_at);
+  Sim.run sim;
+  Alcotest.(check (list int)) "post fires after the reached time" [ 1000; 900 ]
+    !fired_at;
+  Sim.run ~until:10 sim;
+  Alcotest.(check int) "empty queue: clock holds" 1000 (Sim.now sim)
+
 let test_nested_scheduling () =
   let sim = Sim.create () in
   let depth = ref 0 in
@@ -247,6 +264,8 @@ let suite =
     Alcotest.test_case "cancel" `Quick test_cancel;
     Alcotest.test_case "cancel after fire" `Quick test_cancel_after_fire_is_noop;
     Alcotest.test_case "run ~until" `Quick test_run_until;
+    Alcotest.test_case "run ~until never rewinds" `Quick
+      test_run_until_never_rewinds;
     Alcotest.test_case "nested scheduling" `Quick test_nested_scheduling;
     Alcotest.test_case "periodic" `Quick test_periodic;
     Alcotest.test_case "negative delay rejected" `Quick test_negative_delay_rejected;

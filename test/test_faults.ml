@@ -241,12 +241,12 @@ let test_header_corruption_accounting () =
 
 (* --- RST generation and connection-error surfacing ------------------------- *)
 
-let tas_pair ?fault_ab ?rng sim =
-  let net = Topology.point_to_point sim ?fault_ab ?rng ~queues_per_nic:4 () in
+let tas_pair ?(config = Config.default) ?fault_ab ?fault_ba ?rng sim =
+  let net =
+    Topology.point_to_point sim ?fault_ab ?fault_ba ?rng ~queues_per_nic:4 ()
+  in
   let host endpoint base =
-    let t =
-      Tas.create sim ~nic:endpoint.Topology.nic ~config:Config.default ()
-    in
+    let t = Tas.create sim ~nic:endpoint.Topology.nic ~config () in
     let lt =
       Tas.app t ~app_cores:[| Core.create sim ~id:base () |]
         ~api:Libtas.Sockets
@@ -360,6 +360,94 @@ let test_fin_retry_cap () =
   Alcotest.(check int) "flow state reclaimed" 0
     (Slow_path.flow_count (Tas.slow_path tas));
   Alcotest.(check bool) "app saw the close" true !closed
+
+(* Injected into [nic] as if the flow's peer reset it: in-window, so the
+   slow path tears the flow down. *)
+let inject_peer_rst nic flows =
+  Tas_core.Flow_table.iter flows (fun tuple flow ->
+      let module T = Addr.Four_tuple in
+      Nic.input nic
+        (Packet.make
+           ~src_mac:(Addr.host_mac (Addr.host_id_of_ip tuple.T.peer_ip))
+           ~dst_mac:(Nic.mac nic) ~src_ip:tuple.T.peer_ip
+           ~dst_ip:tuple.T.local_ip
+           ~tcp:
+             {
+               Tcp.src_port = tuple.T.peer_port;
+               dst_port = tuple.T.local_port;
+               seq = Tas_core.Flow_state.ack flow;
+               ack = 0;
+               flags = { Tcp.no_flags with Tcp.rst = true };
+               window = 0;
+               options = Tcp.no_options;
+             }
+           ~payload:Bytes.empty ()))
+
+let test_closed_flow_stops_transmitting () =
+  (* The a->b direction goes dark at 2 ms while the sender still has data
+     queued and in flight. The flow then dies either by the dead-flow
+     timeout (b->a dark too) or by a peer RST at 3 ms (b->a open), while a
+     RACK-TLP probe is pending. From [on_closed] on the sender's NIC must
+     stay silent under every recovery policy and both flow-state backings:
+     no pacing, probe or reordering timer may outlive the flow. *)
+  let dark =
+    { Fault.passthrough with
+      Fault.blackouts = [ (Time_ns.ms 2, Time_ns.sec 100) ] }
+  in
+  let run ~reap policy arena =
+    let name =
+      Printf.sprintf "%s/%s/%s"
+        (if reap then "reap" else "rst")
+        (Tas_recovery.Policy.name policy)
+        (if arena then "arena" else "boxed")
+    in
+    let sim = Sim.create () in
+    let config =
+      {
+        Config.default with
+        Config.dead_flow_timeout_ns =
+          (if reap then Some (Time_ns.ms 50) else None);
+        recovery_policy = policy;
+        flow_arena_enabled = arena;
+      }
+    in
+    let net, (tas_a, lt_a), (_, lt_b) =
+      tas_pair ~config ~fault_ab:dark
+        ?fault_ba:(if reap then Some dark else None)
+        ~rng:(Rng.create 8) sim
+    in
+    Libtas.listen lt_b ~port:80 ~ctx_of_tuple:(fun _ -> 0) (fun _ ->
+        Libtas.null_handlers);
+    let nic_a = net.Topology.a.Topology.nic in
+    let chunk = Bytes.make 16384 's' in
+    let rec push sock = if Libtas.send sock chunk > 0 then push sock in
+    let tx_at_close = ref None in
+    ignore
+      (Libtas.connect lt_a ~ctx:0 ~dst_ip:(Nic.ip net.Topology.b.Topology.nic)
+         ~dst_port:80
+         {
+           Libtas.null_handlers with
+           Libtas.on_connected = push;
+           on_sendable = push;
+           on_closed = (fun _ -> tx_at_close := Some (Nic.tx_packets nic_a));
+         });
+    if not reap then
+      ignore
+        (Sim.schedule_at sim (Time_ns.ms 3) (fun () ->
+             inject_peer_rst nic_a (Fast_path.flows (Tas.fast_path tas_a))));
+    Sim.run ~until:(Time_ns.ms 300) sim;
+    match !tx_at_close with
+    | None -> Alcotest.failf "%s: flow never closed" name
+    | Some n ->
+      Alcotest.(check int) (name ^ ": no tx after on_closed") n
+        (Nic.tx_packets nic_a)
+  in
+  List.iter
+    (fun reap ->
+      List.iter
+        (fun policy -> List.iter (run ~reap policy) [ true; false ])
+        Tas_recovery.Policy.all)
+    [ true; false ]
 
 (* --- Wire behaviour under injected faults ---------------------------------- *)
 
@@ -556,6 +644,8 @@ let suite =
       test_connect_refused_by_rst;
     Alcotest.test_case "SYN retry exhaustion" `Quick test_syn_retry_exhaustion;
     Alcotest.test_case "FIN retry cap" `Quick test_fin_retry_cap;
+    Alcotest.test_case "closed flow stops transmitting" `Quick
+      test_closed_flow_stops_transmitting;
     Alcotest.test_case "reordering into TAS" `Quick test_reordering_into_tas;
     Alcotest.test_case "duplication into TAS" `Quick test_duplication_into_tas;
     Alcotest.test_case "tap observes handshake + options" `Quick
