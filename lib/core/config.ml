@@ -21,7 +21,6 @@ type t = {
   fp_rx_cycles : int;
   fp_tx_cycles : int;
   fp_ack_rx_cycles : int;
-  flow_arena_enabled : bool;
   flow_arena_capacity : int;
   sp_conn_cycles : int;
   sp_flow_control_cycles : int;
@@ -63,7 +62,6 @@ let default =
     fp_rx_cycles = 450;
     fp_tx_cycles = 260;
     fp_ack_rx_cycles = 100;
-    flow_arena_enabled = true;
     flow_arena_capacity = 4096;
     sp_conn_cycles = 3000;
     sp_flow_control_cycles = 80;

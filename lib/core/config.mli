@@ -41,13 +41,10 @@ type t = {
   fp_rx_cycles : int;  (** receive data segment, including ACK generation *)
   fp_tx_cycles : int;  (** segmentation + transmit *)
   fp_ack_rx_cycles : int;  (** process incoming ACK, reclaim tx buffer *)
-  flow_arena_enabled : bool;
-      (** back per-flow state with the off-heap {!Flow_arena} of 102-byte
-          Table-3 records (default [true]); [false] keeps the boxed OCaml
-          record — the reference backing the differential tests compare
-          against *)
   flow_arena_capacity : int;
-      (** arena slots; connections beyond this are refused (default 4096) *)
+      (** slots of the off-heap {!Flow_arena} that holds every flow's
+          102-byte Table-3 record; connections beyond this are refused
+          (default 4096) *)
   sp_conn_cycles : int;  (** slow-path connection setup/teardown handling *)
   sp_flow_control_cycles : int;  (** slow-path CC loop, per flow *)
   flow_shards_enabled : bool;

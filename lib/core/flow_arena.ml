@@ -12,10 +12,10 @@ type t = {
   free_list : int array;  (* stack of free slot indices *)
   mutable free_top : int;  (* number of entries on the stack *)
   used : Bytes.t;  (* per-slot liveness bit, double-free detection *)
+  detached : bool;  (* made by [detach]: holds one torn-down flow's record *)
 }
 
-let create ?(capacity = 4096) () =
-  if capacity <= 0 then invalid_arg "Flow_arena.create: capacity must be > 0";
+let make ~detached capacity =
   let data =
     Bigarray.Array1.create Bigarray.int8_unsigned Bigarray.c_layout
       (capacity * slot_bytes)
@@ -24,9 +24,14 @@ let create ?(capacity = 4096) () =
   (* Stack initialized so the first allocations come out in slot order. *)
   let free_list = Array.init capacity (fun i -> capacity - 1 - i) in
   { data; capacity; free_list; free_top = capacity;
-    used = Bytes.make capacity '\x00' }
+    used = Bytes.make capacity '\x00'; detached }
+
+let create ?(capacity = 4096) () =
+  if capacity <= 0 then invalid_arg "Flow_arena.create: capacity must be > 0";
+  make ~detached:false capacity
 
 let capacity t = t.capacity
+let detached t = t.detached
 let live t = t.capacity - t.free_top
 let available t = t.free_top
 let in_use t slot =
@@ -146,7 +151,10 @@ let field_layout =
 
 (* --- Allocation --------------------------------------------------------- *)
 
-let generation t slot = get16 t (base slot + off_generation)
+let generation t slot =
+  if slot < 0 || slot >= t.capacity then
+    invalid_arg "Flow_arena.generation: slot out of range";
+  get16 t (base slot + off_generation)
 
 let alloc t =
   if t.free_top = 0 then None
@@ -172,6 +180,19 @@ let free t slot =
   set16 t (b + off_generation) (generation t slot + 1);
   t.free_list.(t.free_top) <- slot;
   t.free_top <- t.free_top + 1
+
+(* The copy keeps the slot's generation; the source slot is freed (and its
+   generation bumped) as usual, so nothing left pointing at the shared slab
+   survives the move. *)
+let detach t slot =
+  if not (in_use t slot) then invalid_arg "Flow_arena.detach: slot not in use";
+  let d = make ~detached:true 1 in
+  ignore (alloc d);
+  Bigarray.Array1.blit
+    (Bigarray.Array1.sub t.data (base slot) slot_bytes)
+    (Bigarray.Array1.sub d.data 0 slot_bytes);
+  free t slot;
+  d
 
 (* --- Typed accessors ---------------------------------------------------- *)
 

@@ -11,8 +11,9 @@
     match the wire/table widths (u8/u16/u24/u32/u48/u64), so every field
     silently wraps at its declared width exactly like the C struct would.
 
-    Slots carry a generation counter bumped on [free]: a stale handle can
-    detect (and tests can assert) that a slot was recycled. *)
+    Slots carry a generation counter bumped on [free], so tests can assert
+    that a slot was recycled. A record that must outlive its slot is moved
+    out with {!detach} instead of being read through a stale index. *)
 
 type t
 
@@ -42,11 +43,26 @@ val free : t -> int -> unit
 val in_use : t -> int -> bool
 
 val generation : t -> int -> int
-(** Recycling counter of a slot (u16, wraps). *)
+(** Recycling counter of a slot (u16, wraps). Raises [Invalid_argument] on
+    an out-of-range slot, like {!free}. *)
+
+val detach : t -> int -> t
+(** [detach t slot] moves the live slot's 102 bytes into a fresh private
+    one-slot arena (its record at slot 0, marked {!detached}) and frees
+    [slot] in [t]. Whoever keeps the copy reads and writes the flow's final
+    state without ever reaching [t]'s slab again, so a recycled slot can
+    never alias it. Raises [Invalid_argument] when [slot] is not in use. *)
+
+val detached : t -> bool
+(** The arena was made by {!detach}. *)
 
 (** {2 Field accessors}
 
     One getter/setter pair per Table-3 field, at the documented offset.
+    They are unchecked: the slot must be one returned by {!alloc} (or slot
+    0 of an arena returned by {!detach}); any other index may read or
+    write another record, or memory outside the slab.
+
     Layout (byte offset, width):
 
     {v

@@ -1,20 +1,16 @@
 (** Per-flow fast-path state — the 102-byte record of paper Table 3.
 
-    The record itself lives in one of two backings behind this abstract
-    handle:
+    The record lives in a 102-byte slot of a {!Flow_arena}: off-heap, fixed
+    field offsets, free-list reuse. The handle names its arena and slot
+    directly, so every getter/setter below is one arena access, and a
+    flow's scalar state costs exactly [state_bytes] bytes, invisible to the
+    GC.
 
-    - {b Arena} (default, [Config.flow_arena_enabled]): a 102-byte slot of
-      a {!Flow_arena} — off-heap, fixed field offsets, free-list reuse.
-      Every getter/setter below reads/writes the slot directly, so a flow's
-      scalar state costs exactly [state_bytes] bytes and is invisible to
-      the GC.
-    - {b Boxed}: the pre-arena OCaml record, kept as the reference
-      implementation for the arena-vs-boxed differential test battery.
-
-    On {!release} the scalar state is copied back onto the heap and the
-    slot returned to the arena, so handles retained past teardown (sockets,
-    queued context events) keep reading coherent values and can never
-    observe a recycled slot.
+    On {!release} the record moves into a private one-slot arena
+    ({!Flow_arena.detach}) and the shared slot is freed, so handles
+    retained past teardown (sockets, queued context events, pacing and TLP
+    timers) keep reading coherent final values and can never reach a
+    recycled slot.
 
     Companion structures that are pointers in the paper's record (payload
     rings, the out-of-order interval, the rate bucket) remain OCaml values
@@ -29,7 +25,7 @@ exception Arena_exhausted
     there is no silent heap fallback. *)
 
 val create :
-  ?arena:Flow_arena.t ->
+  arena:Flow_arena.t ->
   ?recovery:Tas_recovery.Policy.kind ->
   ?ooo_ranges:int ->
   opaque:int ->
@@ -48,25 +44,25 @@ val create :
   unit ->
   t
 (** [tx_iss] is the sequence number of the first data byte to send (stream
-    offset 0 of [tx_buf]); [rx_next] the first expected data byte. With
-    [?arena] the record occupies an arena slot; without, a boxed record.
-    [?recovery] selects the loss-recovery policy (default [Reno], the
-    paper's go-back-N); [?ooo_ranges] sizes the receiver's out-of-order
-    interval set (default 1, the paper's single interval). *)
+    offset 0 of [tx_buf]); [rx_next] the first expected data byte. The
+    record occupies a slot of [arena]. [?recovery] selects the
+    loss-recovery policy (default [Reno], the paper's go-back-N);
+    [?ooo_ranges] sizes the receiver's out-of-order interval set (default
+    1, the paper's single interval). *)
 
 val release : t -> unit
-(** Teardown: return the arena slot; the handle transparently degrades to a
-    boxed copy of its final state. Marks the handle {!released} (for both
-    backings) and invalidates its pending recovery timers. *)
+(** Teardown: move the record into a private arena and return the shared
+    slot; the handle keeps reading (and writing) its final state there.
+    Marks the handle {!released} and invalidates its pending recovery
+    timers. A second [release] is a no-op. *)
 
 val released : t -> bool
 (** {!release} has run: the flow is gone from its stack and must never
     transmit again, whatever its buffers still hold. *)
 
-val is_arena_backed : t -> bool
-
-val slot : t -> int option
-(** Arena slot index while arena-backed; [None] for boxed handles. *)
+val slot : t -> int
+(** Index of the record in its arena: the shared arena's slot while live,
+    0 (of the private arena) once {!released}. *)
 
 (** {2 Table-3 fields} *)
 
@@ -212,12 +208,11 @@ val state_bytes : int
 
 val sync_shadow : t -> unit
 (** Mirror ring positions and the out-of-order interval into the arena
-    slot's shadow fields (no-op for boxed flows). Called by dump paths so
-    the slot is a complete Table-3 image; never on the packet hot path. *)
+    slot's shadow fields. Called by dump paths so the slot is a complete
+    Table-3 image; never on the packet hot path. *)
 
 val to_json : t -> Tas_telemetry.Json.t
 (** Snapshot of the Table-3 record (sequence/ack state, buffer occupancy,
     rate bucket, dup-ACK and recovery state, out-of-order interval,
     slow-path collection counters, RTT estimate) as a deterministic JSON
-    object, read through the live backing — the arena itself for
-    arena-backed flows. *)
+    object, read from the arena slot itself. *)

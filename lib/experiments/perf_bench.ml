@@ -238,7 +238,9 @@ let burst ~quick =
   in
   let peer_ip = Addr.host_ip 99 and peer_mac = Addr.host_mac 99 in
   let flow =
-    Flow_state.create ~opaque:1 ~context:0 ~bucket ~rx_buf_size:65536
+    Flow_state.create
+      ~arena:(Tas_core.Flow_arena.create ~capacity:1 ())
+      ~opaque:1 ~context:0 ~bucket ~rx_buf_size:65536
       ~tx_buf_size:65536 ~local_port:5001 ~peer_ip ~peer_port:9000 ~peer_mac
       ~tx_iss:1000 ~rx_next:100_000 ~window:65535 ~peer_wscale:0 ()
   in

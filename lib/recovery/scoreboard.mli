@@ -8,8 +8,8 @@
 
     Segments and markings live on the OCaml heap as a companion structure
     of the flow (like the payload rings and the out-of-order interval),
-    identical for arena-backed and boxed flows — the documented boxed
-    side-table of the recovery subsystem. Operations are O(in-flight
+    beside its off-heap Table-3 record — the documented heap side-table of
+    the recovery subsystem. Operations are O(in-flight
     segments); the in-flight count is bounded by the send window. *)
 
 type t

@@ -388,18 +388,17 @@ let test_closed_flow_stops_transmitting () =
      queued and in flight. The flow then dies either by the dead-flow
      timeout (b->a dark too) or by a peer RST at 3 ms (b->a open), while a
      RACK-TLP probe is pending. From [on_closed] on the sender's NIC must
-     stay silent under every recovery policy and both flow-state backings:
-     no pacing, probe or reordering timer may outlive the flow. *)
+     stay silent under every recovery policy: no pacing, probe or
+     reordering timer may outlive the flow. *)
   let dark =
     { Fault.passthrough with
       Fault.blackouts = [ (Time_ns.ms 2, Time_ns.sec 100) ] }
   in
-  let run ~reap policy arena =
+  let run ~reap policy =
     let name =
-      Printf.sprintf "%s/%s/%s"
+      Printf.sprintf "%s/%s"
         (if reap then "reap" else "rst")
         (Tas_recovery.Policy.name policy)
-        (if arena then "arena" else "boxed")
     in
     let sim = Sim.create () in
     let config =
@@ -408,7 +407,6 @@ let test_closed_flow_stops_transmitting () =
         Config.dead_flow_timeout_ns =
           (if reap then Some (Time_ns.ms 50) else None);
         recovery_policy = policy;
-        flow_arena_enabled = arena;
       }
     in
     let net, (tas_a, lt_a), (_, lt_b) =
@@ -443,10 +441,7 @@ let test_closed_flow_stops_transmitting () =
         (Nic.tx_packets nic_a)
   in
   List.iter
-    (fun reap ->
-      List.iter
-        (fun policy -> List.iter (run ~reap policy) [ true; false ])
-        Tas_recovery.Policy.all)
+    (fun reap -> List.iter (run ~reap) Tas_recovery.Policy.all)
     [ true; false ]
 
 (* --- Wire behaviour under injected faults ---------------------------------- *)

@@ -95,7 +95,9 @@ let test_idle_flow_footprint () =
            Flow_state.recovery f ))
   in
   Alcotest.(check int) "TAS flow companions (words)" 37 companions;
-  Alcotest.(check int) "host words per idle connection, both ends" 242 per_conn
+  (* 240: the flow handle names its arena and slot directly, without a
+     3-word [Slot] block between them. *)
+  Alcotest.(check int) "host words per idle connection, both ends" 240 per_conn
 
 let suite =
   [
