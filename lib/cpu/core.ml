@@ -98,7 +98,7 @@ let start_no_earlier_than t ~cat ready cycles f =
   t.busy_by.(i) <- t.busy_by.(i) + dur;
   account_util t ~start ~dur;
   (* Handle-free: core dispatch is one event per packet-processing step and
-     is never cancelled, so the queue entry can be recycled. *)
+     is never cancelled, so it needs no handle and allocates nothing. *)
   Sim.post_at t.sim t.busy_until f
 
 let run t ?(cat = Other) ~cycles f =

@@ -1,211 +1,193 @@
-(* Binary min-heap keyed by (time, seq). The sequence number breaks ties in
-   scheduling order so simultaneous events run deterministically. *)
+(* Binary min-heap keyed by (time, seq); the sequence number breaks ties in
+   scheduling order, so simultaneous events run deterministically.
 
-(* Handle-free entries ([post]/[post_at]) are recycled through a free list:
-   they are fire-and-forget, so once fired the record can be reused without
-   any ABA hazard. Handle-carrying entries ([schedule]/[schedule_at]) are
-   never recycled — a caller may hold the handle indefinitely and cancel it
-   late. The write barrier on storing a young action closure into a
-   promoted recycled entry once made this a loss; the packet hot path now
-   posts persistent (old) thunks, for which the barrier takes the cheap
-   same-generation exit. *)
-type entry = {
-  mutable time : Time_ns.t;
-  mutable seq : int;
-  mutable action : unit -> unit;
-  mutable cancelled : bool;
-  recyclable : bool;
-}
+   The heap is three parallel [int array]s, so a sift moves only unboxed
+   ints and never runs the write barrier. Each queued event owns a slot:
+   [actions] holds its closure, [handles] its handle ([no_handle] for
+   [post]) and [pos] its heap index, so [cancel] removes it in O(log n).
+   Closure and handle are written on insert and cleared when the event
+   leaves the heap. The [capacity - size] free slots sit in [slots] at the
+   heap indices the heap does not use, [size, capacity). *)
 
-type event = entry
+type event = { mutable slot : int }
+(* The queued event's slot, or -1 once it fired or was cancelled: an inert
+   handle never reaches a recycled slot. *)
+
+let no_handle = { slot = -1 }
 
 type t = {
   mutable clock : Time_ns.t;
-  mutable heap : entry array;
   mutable size : int;
   mutable next_seq : int;
-  mutable live : int;
   mutable fired : int;
-  mutable free : entry array;  (* stack of fired recyclable entries *)
-  mutable free_top : int;
+  mutable times : int array;  (* heap order *)
+  mutable seqs : int array;
+  mutable slots : int array;
+  mutable pos : int array;  (* slot order *)
+  mutable actions : (unit -> unit) array;
+  mutable handles : event array;
 }
 
-let dummy =
-  { time = 0; seq = -1; action = ignore; cancelled = true; recyclable = false }
-
-(* Bounds the pool: a burst that briefly inflates the event population must
-   not pin its entries forever. *)
-let max_free = 4096
-
 let create () =
-  {
-    clock = 0;
-    heap = Array.make 64 dummy;
-    size = 0;
-    next_seq = 0;
-    live = 0;
-    fired = 0;
-    free = Array.make 64 dummy;
-    free_top = 0;
-  }
+  { clock = 0; size = 0; next_seq = 0; fired = 0; times = [||]; seqs = [||];
+    slots = [||]; pos = [||]; actions = [||]; handles = [||] }
 
 let now t = t.clock
 let events_fired t = t.fired
+let pending t = t.size
 
-let precedes a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
+let grow t =
+  let cap = Array.length t.times in
+  let more = max 64 cap in
+  let extend a fill = Array.append a (Array.make more fill) in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- Array.append t.slots (Array.init more (fun i -> cap + i));
+  t.pos <- extend t.pos 0;
+  t.actions <- extend t.actions ignore;
+  t.handles <- extend t.handles no_handle
 
-let swap t i j =
-  let tmp = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- tmp
-
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if precedes t.heap.(i) t.heap.(parent) then begin
-      swap t i parent;
-      sift_up t parent
+(* The sifts carry the moving element [(time, seq, slot)] in registers,
+   shift each element it passes one level into the hole it leaves, and
+   write it once where the hole stops. They are the simulator's hottest
+   code, so they loop over local arrays and spell every move out: a helper
+   for the four stores is not inlined and costs ~10% of [conn_scale]. *)
+let sift_up t i time seq slot =
+  let times = t.times and seqs = t.seqs and slots = t.slots and pos = t.pos in
+  let hole = ref i and moving = ref true in
+  while !moving && !hole > 0 do
+    let parent = (!hole - 1) / 2 in
+    let tp = times.(parent) in
+    if tp < time || (tp = time && seqs.(parent) < seq) then moving := false
+    else begin
+      let h = !hole and sp = slots.(parent) in
+      times.(h) <- tp;
+      seqs.(h) <- seqs.(parent);
+      slots.(h) <- sp;
+      pos.(sp) <- h;
+      hole := parent
     end
-  end
+  done;
+  let h = !hole in
+  times.(h) <- time;
+  seqs.(h) <- seq;
+  slots.(h) <- slot;
+  pos.(slot) <- h
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && precedes t.heap.(l) t.heap.(!smallest) then smallest := l;
-  if r < t.size && precedes t.heap.(r) t.heap.(!smallest) then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+let sift_down t i time seq slot =
+  let times = t.times and seqs = t.seqs and slots = t.slots and pos = t.pos in
+  let n = t.size in
+  let hole = ref i and moving = ref true in
+  while !moving do
+    let l = (2 * !hole) + 1 in
+    if l >= n then moving := false
+    else begin
+      let c =
+        if l + 1 >= n then l
+        else
+          let tl = times.(l) and tr = times.(l + 1) in
+          if tr < tl || (tr = tl && seqs.(l + 1) < seqs.(l)) then l + 1 else l
+      in
+      let tc = times.(c) in
+      if tc < time || (tc = time && seqs.(c) < seq) then begin
+        let h = !hole and sc = slots.(c) in
+        times.(h) <- tc;
+        seqs.(h) <- seqs.(c);
+        slots.(h) <- sc;
+        pos.(sc) <- h;
+        hole := c
+      end
+      else moving := false
+    end
+  done;
+  let h = !hole in
+  times.(h) <- time;
+  seqs.(h) <- seq;
+  slots.(h) <- slot;
+  pos.(slot) <- h
 
-let push t entry =
-  if t.size = Array.length t.heap then begin
-    let bigger = Array.make (2 * t.size) dummy in
-    Array.blit t.heap 0 bigger 0 t.size;
-    t.heap <- bigger
-  end;
-  t.heap.(t.size) <- entry;
-  t.size <- t.size + 1;
-  sift_up t (t.size - 1)
-
-let pop t =
-  let top = t.heap.(0) in
-  t.size <- t.size - 1;
-  t.heap.(0) <- t.heap.(t.size);
-  t.heap.(t.size) <- dummy;
-  if t.size > 0 then sift_down t 0;
-  top
-
-let schedule_at t time action =
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Sim.schedule_at: time %d is before now %d" time t.clock);
+let insert t time action handle =
+  if t.size = Array.length t.times then grow t;
+  let i = t.size in
+  let slot = t.slots.(i) in
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let entry = { time; seq; action; cancelled = false; recyclable = false } in
-  t.live <- t.live + 1;
-  push t entry;
-  entry
+  t.size <- i + 1;
+  t.actions.(slot) <- action;
+  if handle != no_handle then begin
+    handle.slot <- slot;
+    t.handles.(slot) <- handle
+  end;
+  sift_up t i time seq slot
+
+(* Take the element at heap index [i] out of the heap and free its slot. *)
+let remove t i =
+  let slot = t.slots.(i) in
+  let last = t.size - 1 in
+  t.size <- last;
+  if i < last then begin
+    (* The last element fills the hole, moving up or else down. *)
+    let moved = t.slots.(last) in
+    sift_up t i t.times.(last) t.seqs.(last) moved;
+    if t.pos.(moved) = i then sift_down t i t.times.(i) t.seqs.(i) moved
+  end;
+  t.slots.(last) <- slot;
+  t.actions.(slot) <- ignore;
+  let handle = t.handles.(slot) in
+  if handle != no_handle then begin
+    handle.slot <- -1;
+    t.handles.(slot) <- no_handle
+  end
+
+let check_time t fn time =
+  if time < t.clock then
+    invalid_arg (Printf.sprintf "Sim.%s: time %d is before now %d" fn time t.clock)
+
+let schedule_at t time action =
+  check_time t "schedule_at" time;
+  let handle = { slot = -1 } in
+  insert t time action handle;
+  handle
 
 let schedule t dt action =
   if dt < 0 then invalid_arg "Sim.schedule: negative delay";
   schedule_at t (t.clock + dt) action
 
 let post_at t time action =
-  if time < t.clock then
-    invalid_arg
-      (Printf.sprintf "Sim.post_at: time %d is before now %d" time t.clock);
-  let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let entry =
-    if t.free_top > 0 then begin
-      t.free_top <- t.free_top - 1;
-      let e = t.free.(t.free_top) in
-      t.free.(t.free_top) <- dummy;
-      e.time <- time;
-      e.seq <- seq;
-      e.action <- action;
-      e.cancelled <- false;
-      e
-    end
-    else { time; seq; action; cancelled = false; recyclable = true }
-  in
-  t.live <- t.live + 1;
-  push t entry
+  check_time t "post_at" time;
+  insert t time action no_handle
 
 let post t dt action =
   if dt < 0 then invalid_arg "Sim.post: negative delay";
   post_at t (t.clock + dt) action
 
 let cancel t ev =
-  if not ev.cancelled then begin
-    ev.cancelled <- true;
-    t.live <- t.live - 1
-  end
+  if ev.slot >= 0 then remove t t.pos.(ev.slot)
 
-let pending t = t.live
-
-let fire t entry =
-  (* Mark fired entries as cancelled so a late [cancel] is a harmless no-op. *)
-  entry.cancelled <- true;
-  t.live <- t.live - 1;
-  t.clock <- entry.time;
+(* Fire the earliest event. Its slot is freed before the action runs, so
+   the action may reuse it, and an action that raises leaves the queue
+   consistent. *)
+let fire t =
+  t.clock <- t.times.(0);
   t.fired <- t.fired + 1;
-  let action = entry.action in
-  if entry.recyclable then begin
-    (* Recycle before running the action: no handle exists, so nothing can
-       observe the entry, and the action itself may immediately reuse it.
-       Dropping the closure reference keeps the pool from pinning it. *)
-    entry.action <- ignore;
-    if t.free_top < max_free then begin
-      if t.free_top = Array.length t.free then begin
-        let bigger = Array.make (2 * t.free_top) dummy in
-        Array.blit t.free 0 bigger 0 t.free_top;
-        t.free <- bigger
-      end;
-      t.free.(t.free_top) <- entry;
-      t.free_top <- t.free_top + 1
-    end
-  end;
+  let action = t.actions.(t.slots.(0)) in
+  remove t 0;
   action ()
 
-let step t =
-  let rec next () =
-    if t.size = 0 then false
-    else
-      let entry = pop t in
-      if entry.cancelled then next ()
-      else begin
-        fire t entry;
-        true
-      end
-  in
-  next ()
+let step t = t.size > 0 && (fire t; true)
 
 let run ?until t =
   match until with
   | None -> while step t do () done
   | Some limit ->
-    let continue = ref true in
-    while !continue do
-      if t.size = 0 then begin
-        t.clock <- max t.clock limit;
-        continue := false
-      end
-      else begin
-        let top = t.heap.(0) in
-        if top.cancelled then ignore (pop t)
-        else if top.time > limit then begin
-          t.clock <- max t.clock limit;
-          continue := false
-        end
-        else fire t (pop t)
-      end
-    done
+    while t.size > 0 && t.times.(0) <= limit do
+      fire t
+    done;
+    t.clock <- max t.clock limit
 
 let periodic t ?start interval f =
   let first = match start with Some s -> s | None -> interval in
-  let handle = ref dummy in
+  let handle = ref no_handle in
   let rec occurrence () =
     f ();
     handle := schedule t interval occurrence

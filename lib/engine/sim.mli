@@ -2,8 +2,8 @@
 
     A simulator holds a virtual clock and a priority queue of pending events.
     Events scheduled for the same instant fire in scheduling order, which
-    keeps runs fully deterministic. Events may be cancelled; cancellation is
-    O(1) (the event is skipped when popped). *)
+    keeps runs fully deterministic. Events may be cancelled; cancellation
+    removes the event in O(log n) and drops its closure at once. *)
 
 type t
 (** A simulator instance. *)
@@ -31,7 +31,8 @@ val post : t -> Time_ns.t -> (unit -> unit) -> unit
 (** [post sim dt f] is {!schedule} without a cancellation handle, for the
     fire-and-forget event storm of the hot path (port serialization,
     propagation, core dispatch, pacing): callers that never cancel document
-    that fact and skip binding a handle.
+    that fact and skip binding a handle. Below the queue's high-water mark
+    it allocates nothing.
     @raise Invalid_argument if [dt < 0]. *)
 
 val post_at : t -> Time_ns.t -> (unit -> unit) -> unit
@@ -44,11 +45,13 @@ val events_fired : t -> int
     numerator). *)
 
 val cancel : t -> event -> unit
-(** [cancel sim ev] prevents [ev] from firing. Cancelling an event that has
-    already fired or been cancelled is a no-op. *)
+(** [cancel sim ev] removes [ev] from the queue in O(log n); [sim] no longer
+    holds its closure. Cancelling an event that has already fired or been
+    cancelled is a no-op, whatever event has since reused its queue slot. *)
 
 val pending : t -> int
-(** [pending sim] is the number of live (not cancelled, not fired) events. *)
+(** [pending sim] is the number of queued (not fired, not cancelled)
+    events: the size of the heap. *)
 
 val run : ?until:Time_ns.t -> t -> unit
 (** [run sim] executes events in time order until the queue is empty, or — if

@@ -292,35 +292,49 @@ let burst ~quick =
     m "burst_minor_words_per_pkt" words_per "words/op" Alloc;
   ]
 
-(* Event-queue churn: chains of fire-and-forget [post] events, the shape of
-   the simulator's per-packet event storm (serialization, propagation, core
-   dispatch, pacing). *)
+(* Event-queue churn, steady state at constant queue depth: 32 chains of
+   fire-and-forget [post] events, the shape of the simulator's per-packet
+   event storm (serialization, propagation, core dispatch, pacing); the
+   same over a queue as deep as [conn_scale]'s, with spread delays so
+   inserts sift up as well as pops down; and 32 chains that re-arm a timer
+   on every event, cancel plus [schedule] — the baseline TCP engine's RTO
+   on each ACK. *)
 let events ~quick =
-  let n = if quick then 100_000 else 250_000 in
-  let one () =
+  let churn ~chains ~delay ~rearm =
     let sim = Sim.create () in
-    let remaining = ref n in
-    let rec tick () =
-      if !remaining > 0 then begin
-        decr remaining;
-        Sim.post sim 10 tick
-      end
-    in
-    for i = 1 to 32 do
-      Sim.post sim i tick
+    for k = 1 to chains do
+      let d = delay k in
+      let tick =
+        if rearm = 0 then
+          let rec tick () = Sim.post sim d tick in
+          tick
+        else
+          let timer = ref (Sim.schedule sim rearm ignore) in
+          let rec tick () =
+            Sim.cancel sim !timer;
+            timer := Sim.schedule sim rearm ignore;
+            Sim.post sim d tick
+          in
+          tick
+      in
+      Sim.post sim k tick
     done;
-    let w0 = Gc.minor_words () in
-    let t0 = Unix.gettimeofday () in
-    Sim.run sim;
-    let wall = Unix.gettimeofday () -. t0 in
-    let words = Gc.minor_words () -. w0 in
-    let fired = max 1 (Sim.events_fired sim) in
-    (float_of_int fired /. wall, words /. float_of_int fired)
+    op_loop ~iters:(if quick then 100_000 else 250_000) (fun () ->
+        ignore (Sim.step sim))
   in
-  let rate, words_per = median3 one in
+  let rate, words = churn ~chains:32 ~delay:(fun _ -> 10) ~rearm:0 in
+  let deep, _ =
+    churn ~chains:12_288 ~rearm:0 ~delay:(fun k ->
+        Time_ns.us 100 + (k * 7919 mod 1000))
+  in
+  let rearm, _ =
+    churn ~chains:32 ~delay:(fun _ -> Time_ns.us 1) ~rearm:(Time_ns.us 200)
+  in
   [
     m "sim_events_per_sec" rate "events/s" Throughput;
-    m "sim_minor_words_per_event" words_per "words/event" Alloc;
+    m "sim_minor_words_per_event" words "words/event" Alloc;
+    m "sim_deep_events_per_sec" deep "events/s" Throughput;
+    m "sim_rearm_events_per_sec" rearm "events/s" Throughput;
   ]
 
 (* Single fast-path primitives on fixed inputs: the bottom rung of the

@@ -139,8 +139,8 @@ and start_transmission t =
     t.tx_pkt <- pkt;
     let tx = tx_time_ns t pkt in
     t.busy_ns <- t.busy_ns + tx;
-    (* Fire-and-forget events: [post] recycles the queue entries, and the
-       two per-packet events of every link hop reuse the port's persistent
+    (* Fire-and-forget events: [post] allocates nothing, and the two
+       per-packet events of every link hop reuse the port's persistent
        thunks — a packet's full hop allocates nothing. *)
     Sim.post t.sim tx t.tx_done_thunk
 

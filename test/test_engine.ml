@@ -4,6 +4,13 @@ module Sim = Tas_engine.Sim
 module Time_ns = Tas_engine.Time_ns
 module Rng = Tas_engine.Rng
 module Stats = Tas_engine.Stats
+module Topology = Tas_netsim.Topology
+module Core = Tas_cpu.Core
+module Config = Tas_core.Config
+module Tas = Tas_core.Tas
+module Libtas = Tas_core.Libtas
+module Transport = Tas_apps.Transport
+module Rpc_echo = Tas_apps.Rpc_echo
 
 let test_event_ordering () =
   let sim = Sim.create () in
@@ -42,7 +49,15 @@ let test_cancel_after_fire_is_noop () =
   ignore (Sim.schedule sim 20 ignore);
   Sim.run sim;
   Sim.cancel sim ev;
-  Alcotest.(check int) "live count not corrupted" 0 (Sim.pending sim)
+  Alcotest.(check int) "live count not corrupted" 0 (Sim.pending sim);
+  (* A later event reuses the fired event's queue slot; the stale handle
+     must not cancel it. *)
+  let fired = ref false in
+  ignore (Sim.schedule sim 10 (fun () -> fired := true));
+  Sim.cancel sim ev;
+  Alcotest.(check int) "later event still queued" 1 (Sim.pending sim);
+  Sim.run sim;
+  Alcotest.(check bool) "later event fires" true !fired
 
 let test_run_until () =
   let sim = Sim.create () in
@@ -116,6 +131,260 @@ let test_many_events_heap () =
   done;
   Sim.run sim;
   Alcotest.(check bool) "events fired in nondecreasing time order" true !monotone
+
+(* Schedules an event whose closure captures a fresh heap block, and
+   returns the handle and a weak pointer to the block. Not inlined, so no
+   register or stack slot of the caller keeps the block alive. *)
+let[@inline never] schedule_capturing sim =
+  let weak = Weak.create 1 in
+  let captured = Bytes.make 64 'x' in
+  Weak.set weak 0 (Some captured);
+  let ev =
+    Sim.schedule sim (Time_ns.ms 5) (fun () -> ignore (Bytes.length captured))
+  in
+  (ev, weak)
+
+let test_cancel_drops_closure () =
+  (* A cancelled timer must not keep its closure, and what the closure
+     holds (a TCB, for an RTO), alive until its deadline. *)
+  let sim = Sim.create () in
+  let ev, weak = schedule_capturing sim in
+  Sim.cancel sim ev;
+  Gc.full_major ();
+  Alcotest.(check bool) "captured block collected" false (Weak.check weak 0);
+  (* The caller's handle stays live, as a TCB's timer field would. *)
+  ignore (Sys.opaque_identity (sim, ev))
+
+let test_post_allocates_nothing () =
+  (* Steady state: re-posting a persistent thunk allocates no word. *)
+  let sim = Sim.create () in
+  let rec tick () = Sim.post sim 10 tick in
+  for i = 1 to 32 do
+    Sim.post sim i tick
+  done;
+  Sim.run ~until:1_000 sim;
+  let fired0 = Sim.events_fired sim in
+  let w0 = Gc.minor_words () in
+  Sim.run ~until:100_000 sim;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "events in the window" 316_800
+    (Sim.events_fired sim - fired0);
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
+let test_echo_event_counts () =
+  (* A small seeded TAS<->TAS echo run over a lossy link: the engine's
+     event count and peak queue depth are part of the model and must not
+     move with the queue's implementation. *)
+  let sim = Sim.create () in
+  let net =
+    Topology.point_to_point sim ~loss_rate:0.01 ~rng:(Rng.create 42) ()
+  in
+  let host id (ep : Topology.endpoint) =
+    let tas = Tas.create sim ~nic:ep.Topology.nic ~config:Config.default () in
+    let lt =
+      Tas.app tas ~app_cores:[| Core.create sim ~id () |] ~api:Libtas.Sockets
+    in
+    Transport.of_libtas lt ~ctx_of_conn:(fun _ -> 0)
+  in
+  let server = host 100 net.Topology.a and client = host 101 net.Topology.b in
+  Rpc_echo.server server ~port:7 ~msg_size:64 ~app_cycles:250;
+  let stats = Rpc_echo.make_stats () in
+  Rpc_echo.closed_loop_clients sim client ~n:8 ~pipeline:2
+    ~dst_ip:(Tas_netsim.Nic.ip net.Topology.a.Topology.nic)
+    ~dst_port:7 ~msg_size:64 ~stats ();
+  let peak = ref 0 in
+  while Sim.now sim < Time_ns.ms 5 do
+    ignore (Sim.step sim);
+    peak := max !peak (Sim.pending sim)
+  done;
+  Alcotest.(check int) "RPCs completed" 1836
+    (Stats.Counter.value stats.Rpc_echo.completed);
+  Alcotest.(check int) "events fired" 19857 (Sim.events_fired sim);
+  Alcotest.(check int) "peak pending" 27 !peak
+
+(* --- Differential engine property ---------------------------------------- *)
+
+(* What a fired event does after logging itself. Children only log, so
+   every program terminates. *)
+type act =
+  | Log
+  | Post_child of int  (* delay; 0 is a same-instant post *)
+  | Sched_child of int
+  | Cancel_in of int  (* cancel the k-th handle, mod the handle count *)
+  | Raise
+
+type op =
+  | Schedule of int * act
+  | Schedule_at of int * act  (* offset from now *)
+  | Post of int * act
+  | Post_at of int * act
+  | Cancel of int
+  | Step
+  | Run_until of int  (* offset from now; negative must not rewind *)
+
+exception Boom
+
+module type ENGINE = sig
+  type t
+  type event
+
+  val create : unit -> t
+  val now : t -> int
+  val schedule : t -> int -> (unit -> unit) -> event
+  val schedule_at : t -> int -> (unit -> unit) -> event
+  val post : t -> int -> (unit -> unit) -> unit
+  val post_at : t -> int -> (unit -> unit) -> unit
+  val cancel : t -> event -> unit
+  val step : t -> bool
+  val run : ?until:int -> t -> unit
+  val pending : t -> int
+  val events_fired : t -> int
+end
+
+(* The reference: a list sorted by (time, seq), searched and rebuilt on
+   every operation. A handle is the event's sequence number. *)
+module Reference : ENGINE = struct
+  type ev = { time : int; seq : int; f : unit -> unit }
+
+  type t = {
+    mutable now : int;
+    mutable queue : ev list;
+    mutable next_seq : int;
+    mutable fired : int;
+  }
+
+  type event = int
+
+  let create () = { now = 0; queue = []; next_seq = 0; fired = 0 }
+  let now t = t.now
+
+  let schedule_at t time f =
+    assert (time >= t.now);
+    let seq = t.next_seq in
+    t.next_seq <- seq + 1;
+    let later e = e.time > time in
+    let before, after = List.partition (fun e -> not (later e)) t.queue in
+    t.queue <- before @ ({ time; seq; f } :: after);
+    seq
+
+  let schedule t dt f = schedule_at t (t.now + dt) f
+  let post t dt f = ignore (schedule t dt f)
+  let post_at t time f = ignore (schedule_at t time f)
+  let cancel t seq = t.queue <- List.filter (fun e -> e.seq <> seq) t.queue
+
+  let fire t =
+    match t.queue with
+    | [] -> false
+    | e :: rest ->
+      t.queue <- rest;
+      t.now <- e.time;
+      t.fired <- t.fired + 1;
+      e.f ();
+      true
+
+  let step = fire
+
+  let run ?until t =
+    match until with
+    | None -> while fire t do () done
+    | Some limit ->
+      let due () = match t.queue with e :: _ -> e.time <= limit | [] -> false in
+      while due () do
+        ignore (fire t)
+      done;
+      t.now <- max t.now limit
+
+  let pending t = List.length t.queue
+  let events_fired t = t.fired
+end
+
+type obs = Fired of int * int | State of bool * int * int * int
+
+(* Runs [prog] on engine [E]; the trace is every event fired (id, time)
+   and, after each op, the op's result, [now], [pending] and
+   [events_fired]. Ids are handed out in scheduling order. *)
+let trace (module E : ENGINE) prog =
+  let sim = E.create () in
+  let log = ref [] and handles = ref [||] and next_id = ref 0 in
+  let keep h = handles := Array.append !handles [| h |] in
+  let cancel k =
+    let n = Array.length !handles in
+    if n > 0 then E.cancel sim !handles.(k mod n)
+  in
+  let rec event act =
+    let id = !next_id in
+    incr next_id;
+    fun () ->
+      log := Fired (id, E.now sim) :: !log;
+      match act with
+      | Log -> ()
+      | Post_child dt -> E.post sim dt (event Log)
+      | Sched_child dt -> keep (E.schedule sim dt (event Log))
+      | Cancel_in k -> cancel k
+      | Raise -> raise Boom
+  in
+  let exec = function
+    | Schedule (dt, a) -> keep (E.schedule sim dt (event a)); true
+    | Schedule_at (dt, a) ->
+      keep (E.schedule_at sim (E.now sim + dt) (event a)); true
+    | Post (dt, a) -> E.post sim dt (event a); true
+    | Post_at (dt, a) -> E.post_at sim (E.now sim + dt) (event a); true
+    | Cancel k -> cancel k; true
+    | Step -> E.step sim
+    | Run_until dt -> E.run ~until:(E.now sim + dt) sim; true
+  in
+  List.iter
+    (fun op ->
+      let r = try exec op with Boom -> false in
+      log := State (r, E.now sim, E.pending sim, E.events_fired sim) :: !log)
+    prog;
+  (* Drain what is left, raising events included. *)
+  let rec drain () = try E.run sim with Boom -> drain () in
+  drain ();
+  List.rev (State (true, E.now sim, E.pending sim, E.events_fired sim) :: !log)
+
+let gen_program =
+  let open QCheck.Gen in
+  let dt = int_range 0 4 and k = int_range 0 7 in
+  let act =
+    frequency
+      [ (6, return Log); (2, map (fun d -> Post_child d) dt);
+        (2, map (fun d -> Sched_child d) dt); (2, map (fun i -> Cancel_in i) k);
+        (1, return Raise) ]
+  in
+  let op =
+    frequency
+      [ (3, map2 (fun d a -> Schedule (d, a)) dt act);
+        (2, map2 (fun d a -> Schedule_at (d, a)) dt act);
+        (3, map2 (fun d a -> Post (d, a)) dt act);
+        (2, map2 (fun d a -> Post_at (d, a)) dt act);
+        (4, map (fun i -> Cancel i) k); (3, return Step);
+        (1, map (fun d -> Run_until d) (int_range (-2) 6)) ]
+  in
+  list_size (int_range 1 80) op
+
+let show_act = function
+  | Log -> "log"
+  | Post_child d -> Printf.sprintf "post_child %d" d
+  | Sched_child d -> Printf.sprintf "sched_child %d" d
+  | Cancel_in k -> Printf.sprintf "cancel_in %d" k
+  | Raise -> "raise"
+
+let show_op = function
+  | Schedule (d, a) -> Printf.sprintf "schedule %d (%s)" d (show_act a)
+  | Schedule_at (d, a) -> Printf.sprintf "schedule_at +%d (%s)" d (show_act a)
+  | Post (d, a) -> Printf.sprintf "post %d (%s)" d (show_act a)
+  | Post_at (d, a) -> Printf.sprintf "post_at +%d (%s)" d (show_act a)
+  | Cancel k -> Printf.sprintf "cancel %d" k
+  | Step -> "step"
+  | Run_until d -> Printf.sprintf "run ~until:+%d" d
+
+let prop_engine_matches_reference =
+  QCheck.Test.make ~name:"engine matches a sorted-list reference" ~count:500
+    (QCheck.make ~print:(QCheck.Print.list show_op)
+       ~shrink:QCheck.Shrink.list gen_program)
+    (fun prog ->
+      trace (module Sim : ENGINE) prog = trace (module Reference) prog)
 
 (* --- Rng ---------------------------------------------------------------- *)
 
@@ -270,6 +539,10 @@ let suite =
     Alcotest.test_case "periodic" `Quick test_periodic;
     Alcotest.test_case "negative delay rejected" `Quick test_negative_delay_rejected;
     Alcotest.test_case "10k random events stay ordered" `Quick test_many_events_heap;
+    Alcotest.test_case "cancel drops the closure" `Quick test_cancel_drops_closure;
+    Alcotest.test_case "post allocates nothing" `Quick test_post_allocates_nothing;
+    Alcotest.test_case "echo event counts pinned" `Quick test_echo_event_counts;
+    QCheck_alcotest.to_alcotest prop_engine_matches_reference;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng split independence" `Quick test_rng_split_independent;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
