@@ -152,8 +152,8 @@ let emit c ?(flags = Tcp_header.ack_flags) ?(payload = Bytes.empty)
   (* SYN segments advertise the unscaled window and carry the wscale
      option; everything else advertises rx_buf >> wscale (RFC 1323). *)
   let window =
-    if flags.Tcp_header.syn then min 65535 t.config.rx_buf
-    else min 65535 (t.config.rx_buf asr t.config.wscale)
+    if flags.Tcp_header.syn then Int.min 65535 t.config.rx_buf
+    else Int.min 65535 (t.config.rx_buf asr t.config.wscale)
   in
   let tcp =
     {
@@ -232,7 +232,7 @@ and rto_fire c =
       c.snd_nxt <- c.snd_una;
       if c.fin_sent then c.fin_sent <- false;
       try_send c;
-      if c.rto_event = None then arm_rto c
+      if Option.is_none c.rto_event then arm_rto c
     end
 
 (* --- Send path --------------------------------------------------------- *)
@@ -249,15 +249,17 @@ and try_send c =
     let continue = ref true in
     while !continue do
       let in_flight = Seq32.diff c.snd_nxt c.snd_una in
-      let wnd = min (Window_cc.cwnd c.cc) (max c.snd_wnd t.config.mss) in
+      let wnd =
+        Int.min (Window_cc.cwnd c.cc) (Int.max c.snd_wnd t.config.mss)
+      in
       let budget = wnd - in_flight in
       let avail = Ring.head c.tx - offset_of_seq c c.snd_nxt in
       if avail > 0 && budget > 0 then begin
-        let len = min t.config.mss (min avail budget) in
+        let len = Int.min t.config.mss (Int.min avail budget) in
         send_segment c c.snd_nxt len;
         c.snd_nxt <- Seq32.add c.snd_nxt len;
         c.snd_max <- Seq32.max_s c.snd_max c.snd_nxt;
-        if c.rto_event = None then arm_rto c
+        if Option.is_none c.rto_event then arm_rto c
       end
       else begin
         continue := false;
@@ -267,7 +269,7 @@ and try_send c =
           c.snd_nxt <- Seq32.add c.snd_nxt 1;
           c.snd_max <- Seq32.max_s c.snd_max c.snd_nxt;
           c.fin_sent <- true;
-          if c.rto_event = None then arm_rto c
+          if Option.is_none c.rto_event then arm_rto c
         end
       end
     done
@@ -327,7 +329,7 @@ let store_ooo c seq data =
         | [] -> [ (seq, data) ]
         | (s, d) :: rest ->
           if Seq32.lt seq s then begin
-            let keep = min (Bytes.length data) (Seq32.diff s seq) in
+            let keep = Int.min (Bytes.length data) (Seq32.diff s seq) in
             if keep <= 0 then l
             else
               (seq, Bytes.sub data 0 keep)
@@ -395,11 +397,11 @@ let process_ack c (tcp : Tcp_header.t) ~payload_len =
       let una_off = offset_of_seq c c.snd_una in
       let ack_off = offset_of_seq c ack in
       let data_acked =
-        let lo = max 0 una_off and hi = min ack_off (Ring.head c.tx) in
-        max 0 (hi - lo)
+        let lo = Int.max 0 una_off and hi = Int.min ack_off (Ring.head c.tx) in
+        Int.max 0 (hi - lo)
       in
       if data_acked > 0 && Ring.tail c.tx < Ring.head c.tx then
-        Ring.advance_tail c.tx (min data_acked (Ring.used c.tx));
+        Ring.advance_tail c.tx (Int.min data_acked (Ring.used c.tx));
       c.snd_una <- ack;
       c.acked_total <- c.acked_total + data_acked;
       c.dupacks <- 0;
@@ -417,7 +419,7 @@ let process_ack c (tcp : Tcp_header.t) ~payload_len =
       else if c.in_recovery then begin
         (* NewReno partial ACK: the next hole starts at the new snd_una. *)
         let avail = Ring.head c.tx - offset_of_seq c c.snd_una in
-        let len = min c.stack.config.mss avail in
+        let len = Int.min c.stack.config.mss avail in
         if len > 0 then begin
           send_segment c c.snd_una len;
           c.retransmit_count <- c.retransmit_count + 1;
@@ -445,7 +447,7 @@ let process_ack c (tcp : Tcp_header.t) ~payload_len =
         c.retransmit_count <- c.retransmit_count + 1;
         c.stack.total_retransmits <- c.stack.total_retransmits + 1;
         let avail = Ring.head c.tx - offset_of_seq c c.snd_una in
-        let len = min c.stack.config.mss avail in
+        let len = Int.min c.stack.config.mss avail in
         if len > 0 then send_segment c c.snd_una len;
         arm_rto c
       end

@@ -19,6 +19,8 @@
    jobs on different domains get disjoint pools — no cross-domain traffic,
    no locks. *)
 
+module Int_tbl = Tas_engine.Int_tbl
+
 type stats = {
   takes : int;
   hits : int;
@@ -27,9 +29,9 @@ type stats = {
 }
 
 type t = {
-  classes : (int, bytes list ref) Hashtbl.t;
+  classes : bytes list ref Int_tbl.t;
   max_per_class : int;
-  mutable counts : (int, int) Hashtbl.t;
+  mutable counts : int Int_tbl.t;
   mutable takes : int;
   mutable hits : int;
   mutable gives : int;
@@ -38,9 +40,9 @@ type t = {
 
 let create ?(max_per_class = 256) () =
   {
-    classes = Hashtbl.create 16;
+    classes = Int_tbl.create 16;
     max_per_class;
-    counts = Hashtbl.create 16;
+    counts = Int_tbl.create 16;
     takes = 0;
     hits = 0;
     gives = 0;
@@ -56,10 +58,10 @@ let take t len =
   t.takes <- t.takes + 1;
   if len < min_len then (if len = 0 then Bytes.empty else Bytes.create len)
   else
-    match Hashtbl.find_opt t.classes len with
+    match Int_tbl.find_opt t.classes len with
     | Some ({ contents = buf :: rest } as cell) ->
       cell := rest;
-      Hashtbl.replace t.counts len (Hashtbl.find t.counts len - 1);
+      Int_tbl.replace t.counts len (Int_tbl.find t.counts len - 1);
       t.hits <- t.hits + 1;
       buf
     | _ -> Bytes.create len
@@ -68,13 +70,13 @@ let give t buf =
   let len = Bytes.length buf in
   if len >= min_len then begin
     t.gives <- t.gives + 1;
-    let count = Option.value ~default:0 (Hashtbl.find_opt t.counts len) in
+    let count = Option.value ~default:0 (Int_tbl.find_opt t.counts len) in
     if count >= t.max_per_class then t.drops <- t.drops + 1
     else begin
-      (match Hashtbl.find_opt t.classes len with
+      (match Int_tbl.find_opt t.classes len with
       | Some cell -> cell := buf :: !cell
-      | None -> Hashtbl.replace t.classes len (ref [ buf ]));
-      Hashtbl.replace t.counts len (count + 1)
+      | None -> Int_tbl.replace t.classes len (ref [ buf ]));
+      Int_tbl.replace t.counts len (count + 1)
     end
   end
 

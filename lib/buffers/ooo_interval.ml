@@ -66,7 +66,7 @@ let handle t ~exp ~window ~seg_start ~seg_len =
   if l = 0 then Duplicate
   else if s = exp then begin
     (* In-order: clip to the receive window. *)
-    let l = min l window in
+    let l = Int.min l window in
     if l = 0 then Drop
     else begin
       (* The stream advances through every stored range the new edge
@@ -87,7 +87,7 @@ let handle t ~exp ~window ~seg_start ~seg_len =
     let offset = Seq32.diff s exp in
     if offset >= window then Drop
     else begin
-      let l = min l (window - offset) in
+      let l = Int.min l (window - offset) in
       let seg_end = Seq32.add s l in
       (* Ranges the segment overlaps or abuts merge with it (the paper's
          "segments of the same interval"); merging can chain several

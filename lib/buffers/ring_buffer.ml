@@ -31,14 +31,14 @@ let grow t stop =
   while !size < need do
     size := 2 * !size
   done;
-  let size = min !size t.cap in
+  let size = Int.min !size t.cap in
   let old = t.data in
   let osize = Bytes.length old in
   let data = Bytes.make size '\000' in
   let pos = ref t.tail and left = ref osize in
   while !left > 0 do
     let op = !pos mod osize and np = !pos mod size in
-    let n = min !left (min (osize - op) (size - np)) in
+    let n = Int.min !left (Int.min (osize - op) (size - np)) in
     Bytes.blit old op data np n;
     pos := !pos + n;
     left := !left - n
@@ -56,7 +56,7 @@ let blit_in t pos src off len =
   ensure t (pos + len);
   let size = Bytes.length t.data in
   let phys = pos mod size in
-  let first = min len (size - phys) in
+  let first = Int.min len (size - phys) in
   Bytes.blit src off t.data phys first;
   if len > first then Bytes.blit src (off + first) t.data 0 (len - first)
 
@@ -64,12 +64,12 @@ let blit_out t pos dst off len =
   ensure t (pos + len);
   let size = Bytes.length t.data in
   let phys = pos mod size in
-  let first = min len (size - phys) in
+  let first = Int.min len (size - phys) in
   Bytes.blit t.data phys dst off first;
   if len > first then Bytes.blit t.data 0 dst (off + first) (len - first)
 
 let push t b ~off ~len =
-  let n = min len (free t) in
+  let n = Int.min len (free t) in
   if n > 0 then begin
     blit_in t t.head b off n;
     t.head <- t.head + n
@@ -96,7 +96,7 @@ let read_at t ~pos ~dst ~dst_off ~len =
   else Bytes.blit t.data 0 dst dst_off len
 
 let pop t ~dst ~dst_off ~len =
-  let n = min len (used t) in
+  let n = Int.min len (used t) in
   if n > 0 then begin
     blit_out t t.tail dst dst_off n;
     t.tail <- t.tail + n

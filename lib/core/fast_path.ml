@@ -13,6 +13,7 @@ module Metrics = Tas_telemetry.Metrics
 module Trace = Tas_telemetry.Trace
 module Span = Tas_telemetry.Span
 module Rec = Tas_recovery
+module Int_tbl = Tas_engine.Int_tbl
 
 (* Max packets per vector pass over a core's receive backlog. *)
 let fp_burst_size = 32
@@ -75,7 +76,7 @@ type t = {
   cores : Core.t array;
   config : Config.t;
   flows : Flow_table.t;
-  contexts : (int, Context.t) Hashtbl.t;
+  contexts : Context.t Int_tbl.t;
   mutable next_context_id : int;
   mutable active : int;
   (* Whether [set_active_cores] has pushed [active] into the NIC's RSS
@@ -161,7 +162,7 @@ let create ?trace ?span sim ~nic ~cores ~config =
     cores;
     config;
     flows;
-    contexts = Hashtbl.create 16;
+    contexts = Int_tbl.create 16;
     next_context_id = 0;
     active = n;
     rss_synced = false;
@@ -293,7 +294,8 @@ let register t m =
 
 let set_active_cores t n =
   (* Bounded by both the configured cores and the NIC's RSS queues. *)
-  let n = max 1 (min n (min (Array.length t.cores) (Nic.num_queues t.nic))) in
+  let cap = Int.min (Array.length t.cores) (Nic.num_queues t.nic) in
+  let n = Int.max 1 (Int.min n cap) in
   (* Idempotent after the first sync: repeated controller ticks with an
      unchanged target must not rewrite the redirection table (every
      [Rss_table.set_active] bumps nic_rss_rewrites). *)
@@ -310,16 +312,16 @@ let fresh_context_id t =
 
 let register_context t ctx =
   let id = Context.id ctx in
-  if Hashtbl.mem t.contexts id then
+  if Int_tbl.mem t.contexts id then
     invalid_arg "Fast_path.register_context: duplicate context id";
-  Hashtbl.replace t.contexts id ctx
+  Int_tbl.replace t.contexts id ctx
 
-let unregister_context t id = Hashtbl.remove t.contexts id
+let unregister_context t id = Int_tbl.remove t.contexts id
 
-let find_context t id = Hashtbl.find_opt t.contexts id
+let find_context t id = Int_tbl.find_opt t.contexts id
 
 let context t id =
-  match Hashtbl.find_opt t.contexts id with
+  match Int_tbl.find_opt t.contexts id with
   | Some ctx -> ctx
   | None -> invalid_arg "Fast_path.context: unknown context id"
 
@@ -344,7 +346,8 @@ let build_packet ?(sack = []) t flow ~(flags : Tcp_header.flags) ~seq ~payload =
       ack = (if flags.Tcp_header.ack then Flow_state.ack flow else 0);
       flags;
       window =
-        min 65535 (Ring.free (Flow_state.rx_buf flow) asr t.config.Config.wscale);
+        Int.min 65535
+          (Ring.free (Flow_state.rx_buf flow) asr t.config.Config.wscale);
       options =
         {
           Tcp_header.mss = None;
@@ -428,7 +431,7 @@ let rec maybe_send t flow core =
   then begin
     let peer_budget = Flow_state.window flow - Flow_state.tx_sent flow in
     if peer_budget > 0 then begin
-      let want = min t.config.Config.mss (min avail peer_budget) in
+      let want = Int.min t.config.Config.mss (Int.min avail peer_budget) in
       (* Pace whole segments: a rate bucket with only a few tokens must not
          emit tiny packets — wait until a full [want] accumulates. *)
       let granted =
@@ -483,7 +486,7 @@ and arm_pacing_timer t flow core ~want =
     else if delay = max_int then () (* rate is zero; slow path will update *)
     else begin
       Flow_state.set_tx_timer_armed flow true;
-      Sim.post t.sim (max delay 1) (fun () ->
+      Sim.post t.sim (Int.max delay 1) (fun () ->
           Flow_state.set_tx_timer_armed flow false;
           maybe_send t flow core)
     end
@@ -597,9 +600,9 @@ let arm_reo t flow core =
     | Some tx ->
       st.Rec.State.reo_armed <- true;
       let gen = st.Rec.State.gen in
-      let srtt = max 1 (Flow_state.rtt_est flow) in
+      let srtt = Int.max 1 (Flow_state.rtt_est flow) in
       let due = tx + reo_wnd_of flow + srtt in
-      let delay = max 1 (due - Sim.now t.sim) in
+      let delay = Int.max 1 (due - Sim.now t.sim) in
       Sim.post t.sim delay (fun () ->
           if st.Rec.State.gen = gen then begin
             st.Rec.State.reo_armed <- false;
@@ -804,12 +807,12 @@ let process_data t flow pkt core =
           Ooo.Deliver
             {
               write_at = exp;
-              write_len = min (seg_len - dup) window;
-              advance = min (seg_len - dup) window;
+              write_len = Int.min (seg_len - dup) window;
+              advance = Int.min (seg_len - dup) window;
             }
       end
       else if tcp.Tcp_header.seq = exp then begin
-        let n = min seg_len window in
+        let n = Int.min seg_len window in
         if n = 0 then Ooo.Drop
         else Ooo.Deliver { write_at = exp; write_len = n; advance = n }
       end
@@ -968,7 +971,7 @@ let drain_backlog t idx core =
   let b = t.backlogs.(idx) in
   let burst_cap = Array.length t.scratch in
   while b.bl_len > 0 do
-    let n = min b.bl_len burst_cap in
+    let n = Int.min b.bl_len burst_cap in
     let cap = Array.length b.bl_buf in
     for i = 0 to n - 1 do
       let j = (b.bl_head + i) mod cap in

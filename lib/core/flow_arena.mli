@@ -7,7 +7,8 @@
     offsets, with a free list for slot reuse. The GC never scans or moves
     it, and a live flow costs exactly [slot_bytes] bytes of state.
 
-    Accessors are unboxed [int] getters/setters at fixed offsets; widths
+    This module is only the slab: allocation, generation counters,
+    {!detach}, the bytes themselves and the layout table. Field widths
     match the wire/table widths (u8/u16/u24/u32/u48/u64), so every field
     silently wraps at its declared width exactly like the C struct would.
 
@@ -15,7 +16,19 @@
     that a slot was recycled. A record that must outlive its slot is moved
     out with {!detach} instead of being read through a stale index. *)
 
-type t
+type bytes_arr =
+  (char, Bigarray.int8_unsigned_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type t = private {
+  data : bytes_arr;  (** slot [i] starts at byte [i * slot_bytes] *)
+  capacity : int;
+  free_list : int array;
+  mutable free_top : int;
+  used : Bytes.t;
+  detached : bool;
+}
+(** Read-only outside this module, so {!Flow_state} reaches the bytes in
+    one load with no extra field per flow. *)
 
 val slot_bytes : int
 (** Bytes per record: 102 (Table 3). *)
@@ -56,12 +69,12 @@ val detach : t -> int -> t
 val detached : t -> bool
 (** The arena was made by {!detach}. *)
 
-(** {2 Field accessors}
+(** {2 Layout and raw access}
 
-    One getter/setter pair per Table-3 field, at the documented offset.
-    They are unchecked: the slot must be one returned by {!alloc} (or slot
-    0 of an arena returned by {!detach}); any other index may read or
-    write another record, or memory outside the slab.
+    {!Flow_state} owns the typed Table-3 accessors: it reads and writes its
+    own slot of [data] with the 16/32-bit bigstring primitives. This
+    module keeps the layout table and one raw reader/writer, for the
+    allocator's generation counter and for tests.
 
     Layout (byte offset, width):
 
@@ -80,75 +93,18 @@ val detached : t -> bool
                                                  99  3  tx_size
     v} *)
 
-val get_opaque : t -> int -> int
-val set_opaque : t -> int -> int -> unit
-val get_seq : t -> int -> int
-val set_seq : t -> int -> int -> unit
-val get_ack : t -> int -> int
-val set_ack : t -> int -> int -> unit
-val get_tx_sent : t -> int -> int
-val set_tx_sent : t -> int -> int -> unit
-val get_window : t -> int -> int
-val set_window : t -> int -> int -> unit
-val get_cnt_ackb : t -> int -> int
-val set_cnt_ackb : t -> int -> int -> unit
-val get_cnt_ecnb : t -> int -> int
-val set_cnt_ecnb : t -> int -> int -> unit
-val get_rtt_est : t -> int -> int
-val set_rtt_est : t -> int -> int -> unit
-val get_ts_recent : t -> int -> int
-val set_ts_recent : t -> int -> int -> unit
+val read : t -> int -> off:int -> width:int -> int
+(** [read t slot ~off ~width] is the little-endian [width]-byte field at
+    byte [off] of [slot], zero-extended. An 8-byte field yields bits 0-62
+    (byte 7 carries bits 56-62). Unchecked: [slot] must be one returned by
+    {!alloc}, or slot 0 of an arena returned by {!detach}. *)
 
-val get_tx_span : t -> int -> int
-(** Signed 32-bit: [-1] encodes "no span pending". *)
-
-val set_tx_span : t -> int -> int -> unit
-val get_rx_span : t -> int -> int
-val set_rx_span : t -> int -> int -> unit
-val get_ooo_start : t -> int -> int
-val set_ooo_start : t -> int -> int -> unit
-val get_ooo_len : t -> int -> int
-val set_ooo_len : t -> int -> int -> unit
-val get_peer_ip : t -> int -> int
-val set_peer_ip : t -> int -> int -> unit
-val get_local_port : t -> int -> int
-val set_local_port : t -> int -> int -> unit
-val get_peer_port : t -> int -> int
-val set_peer_port : t -> int -> int -> unit
-val get_context : t -> int -> int
-val set_context : t -> int -> int -> unit
-val get_dupack_cnt : t -> int -> int
-val set_dupack_cnt : t -> int -> int -> unit
-val get_cnt_frexmits : t -> int -> int
-val set_cnt_frexmits : t -> int -> int -> unit
-val get_peer_mac : t -> int -> int
-val set_peer_mac : t -> int -> int -> unit
-val get_peer_wscale : t -> int -> int
-val set_peer_wscale : t -> int -> int -> unit
-
-val get_flags : t -> int -> int
-(** Packed booleans, bit layout: 0 in_recovery, 1 rx_notified,
-    2 tx_notified, 3 tx_interest, 4 tx_timer_armed, 5 fin_received,
-    6 fin_sent, 7 rx_closed. *)
-
-val set_flags : t -> int -> int -> unit
-val get_flag : t -> int -> bit:int -> bool
-val set_flag : t -> int -> bit:int -> bool -> unit
-
-val get_rx_head : t -> int -> int
-val set_rx_head : t -> int -> int -> unit
-val get_rx_tail : t -> int -> int
-val set_rx_tail : t -> int -> int -> unit
-val get_tx_head : t -> int -> int
-val set_tx_head : t -> int -> int -> unit
-val get_tx_tail : t -> int -> int
-val set_tx_tail : t -> int -> int -> unit
-val get_rx_size : t -> int -> int
-val set_rx_size : t -> int -> int -> unit
-val get_tx_size : t -> int -> int
-val set_tx_size : t -> int -> int -> unit
+val write : t -> int -> off:int -> width:int -> int -> unit
+(** [write t slot ~off ~width v] stores the low [width] bytes of [v]
+    little-endian at byte [off] of [slot]; the field wraps at its width.
+    Unchecked, like {!read}. *)
 
 val field_layout : (string * int * int) list
 (** [(name, byte offset, byte width)] for every field above, in offset
     order — the machine-checkable Table-3 layout used by the docs and the
-    round-trip property tests. *)
+    differential tests of {!Flow_state}'s accessors. *)

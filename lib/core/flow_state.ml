@@ -2,15 +2,26 @@ module Seq32 = Tas_proto.Seq32
 module Ring = Tas_buffers.Ring_buffer
 module A = Flow_arena
 
-(* Bit assignments within the arena's packed flags byte. *)
-let bit_in_recovery = 0
-let bit_rx_notified = 1
-let bit_tx_notified = 2
-let bit_tx_interest = 3
-let bit_tx_timer_armed = 4
-let bit_fin_received = 5
-let bit_fin_sent = 6
-let bit_rx_closed = 7
+(* --- Slot access ---------------------------------------------------------
+
+   Each Table-3 field is read and written here, on the arena's bytes, with
+   the bigstring primitives: one load or store per u16/u32, no call into
+   another module. The byte image is little-endian at the offsets of
+   {!Flow_arena.field_layout}. *)
+
+external get16 : A.bytes_arr -> int -> int = "%caml_bigstring_get16u"
+external set16 : A.bytes_arr -> int -> int -> unit = "%caml_bigstring_set16u"
+external get32 : A.bytes_arr -> int -> int32 = "%caml_bigstring_get32u"
+external set32 : A.bytes_arr -> int -> int32 -> unit = "%caml_bigstring_set32u"
+external big_endian : unit -> bool = "%big_endian"
+external bswap16 : int -> int = "%bswap16"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+
+(* Table 3: 102 bytes, [Flow_arena.slot_bytes]. *)
+let state_bytes = 102
+
+let[@inline] le16 v = if big_endian () then bswap16 v else v
+let[@inline] le32 v = if big_endian () then bswap32 v else v
 
 (* [arena]/[slot] name the flow's Table-3 record: a slot of the shared arena
    while the flow is live, slot 0 of a private detached arena after
@@ -31,36 +42,130 @@ type t = {
 
 exception Arena_exhausted
 
+(* Fixed-width reads and writes at byte [off] of the flow's slot. *)
+let[@inline] at t off = (t.slot * state_bytes) + off
+let[@inline] u8 t off =
+  Char.code (Bigarray.Array1.unsafe_get t.arena.A.data (at t off))
+
+let[@inline] set_u8 t off v =
+  Bigarray.Array1.unsafe_set t.arena.A.data (at t off)
+    (Char.unsafe_chr (v land 0xff))
+
+let[@inline] u16 t off = le16 (get16 t.arena.A.data (at t off))
+let[@inline] set_u16 t off v = set16 t.arena.A.data (at t off) (le16 v)
+
+(* [i32] sign-extends: spans store [-1] for "none". *)
+let[@inline] i32 t off =
+  Int32.to_int (le32 (get32 t.arena.A.data (at t off)))
+
+let[@inline] u32 t off = i32 t off land 0xFFFF_FFFF
+
+let[@inline] set_u32 t off v =
+  set32 t.arena.A.data (at t off) (le32 (Int32.of_int v))
+
+let[@inline] set_u24 t off v =
+  set_u16 t off v;
+  set_u8 t (off + 2) (v lsr 16)
+
+(* --- Accessors ---------------------------------------------------------- *)
+
+let opaque t = u32 t 0 lor (u32 t 4 lsl 32)
+let local_port t = u16 t 60
+let peer_ip t = u32 t 56
+let peer_port t = u16 t 62
+let peer_mac t = u32 t 70 lor (u16 t 74 lsl 32)
+let peer_wscale t = u8 t 76
+let context t = u16 t 64
+let set_context t v = set_u16 t 64 v
+let tx_sent t = u32 t 16
+let set_tx_sent t v = set_u32 t 16 v
+let seq t = u32 t 8
+let set_seq t v = set_u32 t 8 v
+let ack t = u32 t 12
+let set_ack t v = set_u32 t 12 v
+let window t = u32 t 20
+let set_window t v = set_u32 t 20 v
+let dupack_cnt t = u16 t 66
+let set_dupack_cnt t v = set_u16 t 66 v
+let cnt_ackb t = u32 t 24
+let set_cnt_ackb t v = set_u32 t 24 v
+let cnt_ecnb t = u32 t 28
+let set_cnt_ecnb t v = set_u32 t 28 v
+let cnt_frexmits t = u16 t 68
+let set_cnt_frexmits t v = set_u16 t 68 v
+let rtt_est t = u32 t 32
+let set_rtt_est t v = set_u32 t 32 v
+let ts_recent t = u32 t 36
+let set_ts_recent t v = set_u32 t 36 v
+let tx_span t = i32 t 40
+let set_tx_span t v = set_u32 t 40 v
+let rx_span t = i32 t 44
+let set_rx_span t v = set_u32 t 44 v
+
+(* The packed flags byte (offset 77): bit 0 in_recovery, 1 rx_notified,
+   2 tx_notified, 3 tx_interest, 4 tx_timer_armed, 5 fin_received,
+   6 fin_sent, 7 rx_closed. *)
+let[@inline] flag t bit = u8 t 77 land (1 lsl bit) <> 0
+
+let[@inline] set_flag t bit v =
+  let f = u8 t 77 in
+  set_u8 t 77 (if v then f lor (1 lsl bit) else f land lnot (1 lsl bit))
+
+let in_recovery t = flag t 0
+let set_in_recovery t v = set_flag t 0 v
+let rx_notified t = flag t 1
+let set_rx_notified t v = set_flag t 1 v
+let tx_notified t = flag t 2
+let set_tx_notified t v = set_flag t 2 v
+let tx_interest t = flag t 3
+let set_tx_interest t v = set_flag t 3 v
+let tx_timer_armed t = flag t 4
+let set_tx_timer_armed t v = set_flag t 4 v
+let fin_received t = flag t 5
+let set_fin_received t v = set_flag t 5 v
+let fin_sent t = flag t 6
+let set_fin_sent t v = set_flag t 6 v
+let rx_closed t = flag t 7
+let set_rx_closed t v = set_flag t 7 v
+
+(* --- Lifecycle ----------------------------------------------------------- *)
+
 let create ~arena:a ?(recovery = Tas_recovery.Policy.Reno) ?(ooo_ranges = 1)
     ~opaque ~context ~bucket ~rx_buf_size ~tx_buf_size
     ~local_port ~peer_ip ~peer_port ~peer_mac ~tx_iss ~rx_next ~window
     ~peer_wscale () =
   let i = match A.alloc a with None -> raise Arena_exhausted | Some i -> i in
-  A.set_opaque a i opaque;
-  A.set_local_port a i local_port;
-  A.set_peer_ip a i peer_ip;
-  A.set_peer_port a i peer_port;
-  A.set_peer_mac a i peer_mac;
-  A.set_peer_wscale a i peer_wscale;
-  A.set_context a i context;
-  A.set_seq a i tx_iss;
-  A.set_ack a i rx_next;
-  A.set_window a i window;
-  A.set_tx_span a i (-1);
-  A.set_rx_span a i (-1);
-  A.set_rx_size a i rx_buf_size;
-  A.set_tx_size a i tx_buf_size;
-  {
-    arena = a;
-    slot = i;
-    rx_buf = Ring.create rx_buf_size;
-    tx_buf = Ring.create tx_buf_size;
-    ooo = Tas_buffers.Ooo_interval.create ~max_ranges:ooo_ranges ();
-    bucket;
-    rec_state = Tas_recovery.State.create recovery;
-  }
+  let t =
+    {
+      arena = a;
+      slot = i;
+      rx_buf = Ring.create rx_buf_size;
+      tx_buf = Ring.create tx_buf_size;
+      ooo = Tas_buffers.Ooo_interval.create ~max_ranges:ooo_ranges ();
+      bucket;
+      rec_state = Tas_recovery.State.create recovery;
+    }
+  in
+  set_u32 t 0 opaque;
+  set_u32 t 4 (opaque lsr 32);
+  set_u16 t 60 local_port;
+  set_u32 t 56 peer_ip;
+  set_u16 t 62 peer_port;
+  set_u32 t 70 peer_mac;
+  set_u16 t 74 (peer_mac lsr 32);
+  set_u8 t 76 peer_wscale;
+  set_u16 t 64 context;
+  set_seq t tx_iss;
+  set_ack t rx_next;
+  set_window t window;
+  set_tx_span t (-1);
+  set_rx_span t (-1);
+  set_u24 t 96 rx_buf_size;
+  set_u24 t 99 tx_buf_size;
+  t
 
 let slot t = t.slot
+let arena t = t.arena
 let released t = A.detached t.arena
 
 (* Teardown: move the record into a private arena and return the shared
@@ -74,60 +179,6 @@ let release t =
     t.arena <- A.detach t.arena t.slot;
     t.slot <- 0
   end
-
-(* --- Accessors ---------------------------------------------------------- *)
-
-let opaque t = A.get_opaque t.arena t.slot
-let local_port t = A.get_local_port t.arena t.slot
-let peer_ip t = A.get_peer_ip t.arena t.slot
-let peer_port t = A.get_peer_port t.arena t.slot
-let peer_mac t = A.get_peer_mac t.arena t.slot
-let peer_wscale t = A.get_peer_wscale t.arena t.slot
-let context t = A.get_context t.arena t.slot
-let set_context t v = A.set_context t.arena t.slot v
-let tx_sent t = A.get_tx_sent t.arena t.slot
-let set_tx_sent t v = A.set_tx_sent t.arena t.slot v
-let seq t = A.get_seq t.arena t.slot
-let set_seq t v = A.set_seq t.arena t.slot v
-let ack t = A.get_ack t.arena t.slot
-let set_ack t v = A.set_ack t.arena t.slot v
-let window t = A.get_window t.arena t.slot
-let set_window t v = A.set_window t.arena t.slot v
-let dupack_cnt t = A.get_dupack_cnt t.arena t.slot
-let set_dupack_cnt t v = A.set_dupack_cnt t.arena t.slot v
-let cnt_ackb t = A.get_cnt_ackb t.arena t.slot
-let set_cnt_ackb t v = A.set_cnt_ackb t.arena t.slot v
-let cnt_ecnb t = A.get_cnt_ecnb t.arena t.slot
-let set_cnt_ecnb t v = A.set_cnt_ecnb t.arena t.slot v
-let cnt_frexmits t = A.get_cnt_frexmits t.arena t.slot
-let set_cnt_frexmits t v = A.set_cnt_frexmits t.arena t.slot v
-let rtt_est t = A.get_rtt_est t.arena t.slot
-let set_rtt_est t v = A.set_rtt_est t.arena t.slot v
-let ts_recent t = A.get_ts_recent t.arena t.slot
-let set_ts_recent t v = A.set_ts_recent t.arena t.slot v
-let tx_span t = A.get_tx_span t.arena t.slot
-let set_tx_span t v = A.set_tx_span t.arena t.slot v
-let rx_span t = A.get_rx_span t.arena t.slot
-let set_rx_span t v = A.set_rx_span t.arena t.slot v
-let get_flag t bit = A.get_flag t.arena t.slot ~bit
-let set_flag t bit v = A.set_flag t.arena t.slot ~bit v
-
-let in_recovery t = get_flag t bit_in_recovery
-let set_in_recovery t v = set_flag t bit_in_recovery v
-let rx_notified t = get_flag t bit_rx_notified
-let set_rx_notified t v = set_flag t bit_rx_notified v
-let tx_notified t = get_flag t bit_tx_notified
-let set_tx_notified t v = set_flag t bit_tx_notified v
-let tx_interest t = get_flag t bit_tx_interest
-let set_tx_interest t v = set_flag t bit_tx_interest v
-let tx_timer_armed t = get_flag t bit_tx_timer_armed
-let set_tx_timer_armed t v = set_flag t bit_tx_timer_armed v
-let fin_received t = get_flag t bit_fin_received
-let set_fin_received t v = set_flag t bit_fin_received v
-let fin_sent t = get_flag t bit_fin_sent
-let set_fin_sent t v = set_flag t bit_fin_sent v
-let rx_closed t = get_flag t bit_rx_closed
-let set_rx_closed t v = set_flag t bit_rx_closed v
 
 let rx_buf t = t.rx_buf
 let tx_buf t = t.tx_buf
@@ -155,28 +206,24 @@ let seq_of_rx_offset t off = Seq32.add (ack t) (off - Ring.head t.rx_buf)
 let rx_offset_of_seq t s = Ring.head t.rx_buf + Seq32.diff s (ack t)
 let tx_available t = Ring.used t.tx_buf - tx_sent t
 
-(* Table 3: 102 bytes. *)
-let state_bytes = Flow_arena.slot_bytes
-
 (* Refresh the arena's shadow of state operationally held in companion
    structures (ring positions, the out-of-order interval) so a slot is a
    complete Table-3 image at snapshot time. The hot path never calls this;
    dumps and tests do. *)
 let sync_shadow t =
-  let a = t.arena and i = t.slot in
-  A.set_rx_head a i (Ring.head t.rx_buf);
-  A.set_rx_tail a i (Ring.tail t.rx_buf);
-  A.set_tx_head a i (Ring.head t.tx_buf);
-  A.set_tx_tail a i (Ring.tail t.tx_buf);
-  A.set_rx_size a i (Ring.capacity t.rx_buf);
-  A.set_tx_size a i (Ring.capacity t.tx_buf);
-  match Tas_buffers.Ooo_interval.interval t.ooo with
-  | None ->
-    A.set_ooo_start a i 0;
-    A.set_ooo_len a i 0
-  | Some (start, len) ->
-    A.set_ooo_start a i start;
-    A.set_ooo_len a i len
+  set_u32 t 80 (Ring.head t.rx_buf);
+  set_u32 t 84 (Ring.tail t.rx_buf);
+  set_u32 t 88 (Ring.head t.tx_buf);
+  set_u32 t 92 (Ring.tail t.tx_buf);
+  set_u24 t 96 (Ring.capacity t.rx_buf);
+  set_u24 t 99 (Ring.capacity t.tx_buf);
+  let start, len =
+    match Tas_buffers.Ooo_interval.interval t.ooo with
+    | None -> (0, 0)
+    | Some r -> r
+  in
+  set_u32 t 48 start;
+  set_u32 t 52 len
 
 let to_json t =
   let module J = Tas_telemetry.Json in

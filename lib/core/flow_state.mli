@@ -2,9 +2,11 @@
 
     The record lives in a 102-byte slot of a {!Flow_arena}: off-heap, fixed
     field offsets, free-list reuse. The handle names its arena and slot
-    directly, so every getter/setter below is one arena access, and a
-    flow's scalar state costs exactly [state_bytes] bytes, invisible to the
-    GC.
+    directly, and this module owns the typed accessors: every getter/setter
+    below reads or writes the slot's bytes itself (one 16/32-bit bigstring
+    load or store per field, little-endian at the offsets of
+    {!Flow_arena.field_layout}), with no call into {!Flow_arena}. A flow's
+    scalar state costs exactly [state_bytes] bytes, invisible to the GC.
 
     On {!release} the record moves into a private one-slot arena
     ({!Flow_arena.detach}) and the shared slot is freed, so handles
@@ -63,6 +65,10 @@ val released : t -> bool
 val slot : t -> int
 (** Index of the record in its arena: the shared arena's slot while live,
     0 (of the private arena) once {!released}. *)
+
+val arena : t -> Flow_arena.t
+(** The arena holding the record: the shared one while live, the private
+    one once {!released}. *)
 
 (** {2 Table-3 fields} *)
 

@@ -4,6 +4,7 @@ module Ring = Tas_buffers.Ring_buffer
 module Buf_pool = Tas_buffers.Buf_pool
 module Metrics = Tas_telemetry.Metrics
 module Span = Tas_telemetry.Span
+module Int_tbl = Tas_engine.Int_tbl
 
 type api = Sockets | Lowlevel
 
@@ -22,7 +23,7 @@ type t = {
   api : api;
   api_cycles : int;  (* per context-queue event *)
   epoll_cycles : int;
-  sockets : (int, socket) Hashtbl.t;
+  sockets : socket Int_tbl.t;
   mutable next_id : int;
   stats : stats;
 }
@@ -68,7 +69,7 @@ let null_handlers =
   }
 
 let sock_id s = s.id
-let is_open s = (not s.closed) && s.flow <> None
+let is_open s = (not s.closed) && Option.is_some s.flow
 let num_contexts t = Array.length t.contexts
 let context_core t i = t.contexts.(i).core
 let api_event_cycles t = t.api_cycles
@@ -83,7 +84,7 @@ let register t m ?(labels = []) () =
   c "lt_rx_bytes" "payload bytes delivered to the app" (fun () -> s.rx_bytes);
   c "lt_tx_bytes" "payload bytes accepted from the app" (fun () -> s.tx_bytes);
   Metrics.gauge_fn m ~labels ~help:"sockets currently open" "lt_open_sockets"
-    (fun () -> float_of_int (Hashtbl.length t.sockets))
+    (fun () -> float_of_int (Int_tbl.length t.sockets))
 
 (* Table 1 calibration: the sockets layer costs 0.62 kc per request (one
    Readable event plus the send call it triggers); the low-level interface
@@ -111,7 +112,7 @@ and drain_step t actx =
 and dispatch t event =
   match event with
   | Context.Readable flow -> begin
-    match Hashtbl.find_opt t.sockets (Flow_state.opaque flow) with
+    match Int_tbl.find_opt t.sockets (Flow_state.opaque flow) with
     | None -> ()
     | Some sock ->
       let rx_buf = Flow_state.rx_buf flow in
@@ -145,7 +146,7 @@ and dispatch t event =
       end
   end
   | Context.Writable flow -> begin
-    match Hashtbl.find_opt t.sockets (Flow_state.opaque flow) with
+    match Int_tbl.find_opt t.sockets (Flow_state.opaque flow) with
     | None -> ()
     | Some sock -> sock.handlers.on_sendable sock
   end
@@ -193,7 +194,7 @@ let create sim ~fast_path ~slow_path ~app_cores ~api () =
       api;
       api_cycles = cycles_of_api api;
       epoll_cycles = 150;
-      sockets = Hashtbl.create 256;
+      sockets = Int_tbl.create 256;
       next_id = 1;
       stats =
         { events_dispatched = 0; sockets_opened = 0; rx_bytes = 0; tx_bytes = 0 };
@@ -242,7 +243,7 @@ let conn_callbacks t sock =
         | None -> ());
     closed =
       (fun _flow ->
-        Hashtbl.remove sock.owner.sockets sock.id;
+        Int_tbl.remove sock.owner.sockets sock.id;
         sock.closed <- true;
         on_app_core sock 100 (fun () -> sock.handlers.on_closed sock));
   }
@@ -261,7 +262,7 @@ let fresh_socket t ~ctx_index ~handlers =
       closed = false;
     }
   in
-  Hashtbl.replace t.sockets id sock;
+  Int_tbl.replace t.sockets id sock;
   t.stats.sockets_opened <- t.stats.sockets_opened + 1;
   sock
 
@@ -326,7 +327,7 @@ let app_cycles sock cycles k = on_app_core ~cat:Core.App sock cycles k
    socket and cleans up every connection the application still holds
    (paper §4, "automatic cleanup"). *)
 let shutdown t =
-  let socks = Hashtbl.fold (fun _ s acc -> s :: acc) t.sockets [] in
+  let socks = Int_tbl.fold (fun _ s acc -> s :: acc) t.sockets [] in
   List.iter (fun sock -> close sock) socks;
   Array.iter
     (fun actx -> Fast_path.unregister_context t.fp (Context.id actx.ctx))

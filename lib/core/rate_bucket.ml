@@ -43,13 +43,13 @@ let refill t rate_bps =
 
 let tx_budget t ~in_flight ~want =
   match t.mode with
-  | Window w -> max 0 (min want (w - in_flight))
+  | Window w -> Int.max 0 (Int.min want (w - in_flight))
   | Rate r ->
     refill t r;
     let tok = Float.Array.get t.tokens 0 in
-    let grant = min want (int_of_float tok) in
+    let grant = Int.min want (int_of_float tok) in
     if grant > 0 then Float.Array.set t.tokens 0 (tok -. float_of_int grant);
-    max 0 grant
+    Int.max 0 grant
 
 (* Allocation-free variant used on the transmit hot path: [-1] encodes
    "no timer needed" (window mode, or tokens already available). *)

@@ -67,7 +67,7 @@ let account_util t ~start ~dur =
     let last = (start + dur - 1) / iv in
     let cap = Array.length t.util_buckets in
     if last >= cap then begin
-      let cap' = max (last + 1) (cap * 2) in
+      let cap' = Int.max (last + 1) (cap * 2) in
       let a = Array.make cap' 0 in
       Array.blit t.util_buckets 0 a 0 cap;
       t.util_buckets <- a
@@ -76,7 +76,7 @@ let account_util t ~start ~dur =
     while !left > 0 do
       let b = !pos / iv in
       let room = ((b + 1) * iv) - !pos in
-      let take = min room !left in
+      let take = Int.min room !left in
       t.util_buckets.(b) <- t.util_buckets.(b) + take;
       pos := !pos + take;
       left := !left - take
@@ -90,7 +90,7 @@ let cycles_to_ns t cycles =
   int_of_float (ceil (float_of_int cycles /. t.freq_ghz))
 
 let start_no_earlier_than t ~cat ready cycles f =
-  let start = max ready t.busy_until in
+  let start = Int.max ready t.busy_until in
   let dur = cycles_to_ns t cycles in
   t.busy_until <- start + dur;
   t.busy_ns <- t.busy_ns + dur;
@@ -109,7 +109,7 @@ let run t ?(cat = Other) ~cycles f =
    needs to land on the core. Identical arithmetic to
    [start_no_earlier_than] minus the [Sim.post_at]. *)
 let charge t ~cat ~cycles =
-  let start = max (Sim.now t.sim) t.busy_until in
+  let start = Int.max (Sim.now t.sim) t.busy_until in
   let dur = cycles_to_ns t cycles in
   t.busy_until <- start + dur;
   t.busy_ns <- t.busy_ns + dur;
@@ -123,5 +123,5 @@ let run_after t ?(cat = Other) ~delay ~cycles f =
 let busy_ns t = t.busy_ns
 let busy_ns_of t cat = t.busy_by.(cat_index cat)
 let breakdown t = List.map (fun c -> (c, busy_ns_of t c)) categories
-let busy_until t = max t.busy_until (Sim.now t.sim)
-let backlog_ns t = max 0 (t.busy_until - Sim.now t.sim)
+let busy_until t = Int.max t.busy_until (Sim.now t.sim)
+let backlog_ns t = Int.max 0 (t.busy_until - Sim.now t.sim)

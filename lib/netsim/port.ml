@@ -1,6 +1,5 @@
 module Sim = Tas_engine.Sim
 module Packet = Tas_proto.Packet
-module Tcp_header = Tas_proto.Tcp_header
 module Ipv4_header = Tas_proto.Ipv4_header
 module Span = Tas_telemetry.Span
 
@@ -28,15 +27,13 @@ let ring_push r dummy pkt =
   r.r_buf.((r.r_head + r.r_len) mod Array.length r.r_buf) <- pkt;
   r.r_len <- r.r_len + 1
 
+(* The caller checks [r_len > 0]: returning an option would allocate. *)
 let ring_pop r dummy =
-  if r.r_len = 0 then None
-  else begin
-    let pkt = r.r_buf.(r.r_head) in
-    r.r_buf.(r.r_head) <- dummy;
-    r.r_head <- (r.r_head + 1) mod Array.length r.r_buf;
-    r.r_len <- r.r_len - 1;
-    Some pkt
-  end
+  let pkt = r.r_buf.(r.r_head) in
+  r.r_buf.(r.r_head) <- dummy;
+  r.r_head <- (r.r_head + 1) mod Array.length r.r_buf;
+  r.r_len <- r.r_len - 1;
+  pkt
 
 type t = {
   mutable span : Span.t;
@@ -61,22 +58,8 @@ type t = {
   mutable busy_ns : int;
 }
 
-let make_dummy () =
-  Packet.make ~src_mac:0 ~dst_mac:0 ~src_ip:0 ~dst_ip:0
-    ~tcp:
-      {
-        Tcp_header.src_port = 0;
-        dst_port = 0;
-        seq = 0;
-        ack = 0;
-        flags = Tcp_header.no_flags;
-        window = 0;
-        options = Tcp_header.no_options;
-      }
-    ~payload:Bytes.empty ()
-
 let rec create sim ~rate_bps ~delay ?(capacity_pkts = 1024) ?ecn_threshold () =
-  let dummy = make_dummy () in
+  let dummy = Packet.placeholder () in
   let t =
     {
       span = Span.disabled ();
@@ -105,9 +88,8 @@ let rec create sim ~rate_bps ~delay ?(capacity_pkts = 1024) ?ecn_threshold () =
   t.deliver_thunk <-
     (fun () ->
       (* Constant propagation delay: deliveries complete in push order. *)
-      match ring_pop t.inflight t.dummy with
-      | Some pkt -> t.deliver pkt
-      | None -> assert false);
+      assert (t.inflight.r_len > 0);
+      t.deliver (ring_pop t.inflight t.dummy));
   t
 
 and tx_done t =
@@ -132,9 +114,9 @@ and tx_time_ns t pkt =
   int_of_float (ceil (bits /. t.rate_bps *. 1e9))
 
 and start_transmission t =
-  match ring_pop t.queue t.dummy with
-  | None -> t.transmitting <- false
-  | Some pkt ->
+  if t.queue.r_len = 0 then t.transmitting <- false
+  else begin
+    let pkt = ring_pop t.queue t.dummy in
     t.transmitting <- true;
     t.tx_pkt <- pkt;
     let tx = tx_time_ns t pkt in
@@ -143,6 +125,7 @@ and start_transmission t =
        per-packet events of every link hop reuse the port's persistent
        thunks — a packet's full hop allocates nothing. *)
     Sim.post t.sim tx t.tx_done_thunk
+  end
 
 let set_deliver t f = t.deliver <- f
 let set_span t span = t.span <- span

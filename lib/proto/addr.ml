@@ -65,12 +65,14 @@ module Four_tuple = struct
     let h = (h * 31) + t.peer_port in
     h land max_int
 
-  let sym_hash t =
-    let a = (t.local_ip lxor t.peer_ip) * 0x9E3779B1 in
-    let b = (t.local_port lxor t.peer_port) * 0x85EBCA77 in
+  let sym_hash_of ip_a port_a ip_b port_b =
+    let a = (ip_a lxor ip_b) * 0x9E3779B1 in
+    let b = (port_a lxor port_b) * 0x85EBCA77 in
     let h = (a + b) land max_int in
     let h = h lxor (h lsr 15) in
     h * 0x27D4EB2F land max_int
+
+  let sym_hash t = sym_hash_of t.local_ip t.local_port t.peer_ip t.peer_port
 
   let pp fmt t =
     Format.fprintf fmt "%a:%d<->%a:%d" pp_ipv4 t.local_ip t.local_port pp_ipv4

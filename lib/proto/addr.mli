@@ -51,5 +51,9 @@ module Four_tuple : sig
       is the hash symmetric receive-side scaling computes, so both
       directions of a connection land on the same NIC queue. *)
 
+  val sym_hash_of : ipv4 -> port -> ipv4 -> port -> int
+  (** [sym_hash_of ip_a port_a ip_b port_b] is {!sym_hash} of the tuple
+      with those two endpoints, in either order, without building it. *)
+
   val pp : Format.formatter -> t -> unit
 end

@@ -35,6 +35,20 @@ let make ~src_mac ~dst_mac ~src_ip ~dst_ip ?(ecn = Ipv4_header.Ect0) ~tcp
     pooled = false;
   }
 
+let placeholder () =
+  make ~src_mac:0 ~dst_mac:0 ~src_ip:0 ~dst_ip:0
+    ~tcp:
+      {
+        Tcp_header.src_port = 0;
+        dst_port = 0;
+        seq = 0;
+        ack = 0;
+        flags = Tcp_header.no_flags;
+        window = 0;
+        options = Tcp_header.no_options;
+      }
+    ~payload:Bytes.empty ()
+
 let wire_size t = Eth_header.size + t.ip.Ipv4_header.total_length
 let payload_len t = Bytes.length t.payload
 
@@ -51,7 +65,9 @@ let four_tuple_at_receiver t =
     peer_port = t.tcp.Tcp_header.src_port;
   }
 
-let flow_hash t = Addr.Four_tuple.sym_hash (four_tuple_at_receiver t)
+let flow_hash t =
+  Addr.Four_tuple.sym_hash_of t.ip.Ipv4_header.dst t.tcp.Tcp_header.dst_port
+    t.ip.Ipv4_header.src t.tcp.Tcp_header.src_port
 
 let set16 buf off v =
   Bytes.set buf off (Char.chr ((v lsr 8) land 0xff));

@@ -45,6 +45,10 @@ val make :
 (** Builds a packet with a consistent IP total length. Default ECN codepoint
     is ECT(0), as DCTCP senders mark all data packets ECN-capable. *)
 
+val placeholder : unit -> t
+(** An all-zero, payload-free packet that fills the unused cells of packet
+    arrays (FIFOs) so they keep no real packet alive. Never sent. *)
+
 val wire_size : t -> int
 (** Bytes on the wire including Ethernet header (no FCS/preamble). *)
 
@@ -58,7 +62,9 @@ val well_formed : t -> bool
 
 val flow_hash : t -> int
 (** Deterministic hash of the 4-tuple, symmetric per direction as computed by
-    receive-side scaling: used by NIC RSS to pick a queue. *)
+    receive-side scaling: used by NIC RSS to pick a queue. Equal to
+    [Addr.Four_tuple.sym_hash (four_tuple_at_receiver t)], and allocates
+    nothing. *)
 
 val four_tuple_at_receiver : t -> Addr.Four_tuple.t
 (** The connection key as seen by the host receiving this packet. *)

@@ -13,11 +13,11 @@ let max_rto = 4_000_000_000 (* 4 s *)
 let create ?(initial_rto_ns = 10_000_000) ?(min_rto_ns = min_rto_floor) () =
   (* The configurable lower bound can only raise the floor, never sink the
      RTO below the hard 1 ms clamp. *)
-  let min_rto = max min_rto_floor min_rto_ns in
+  let min_rto = Int.max min_rto_floor min_rto_ns in
   { srtt = 0; rttvar = 0; rto = initial_rto_ns; backoff_factor = 1;
     initial_rto = initial_rto_ns; min_rto }
 
-let clamp_rto t v = max t.min_rto (min max_rto v)
+let clamp_rto t v = Int.max t.min_rto (Int.min max_rto v)
 
 let sample ?(retransmitted = false) t rtt_ns =
   (* Karn's algorithm: an ACK that may acknowledge a retransmission gives
@@ -34,7 +34,7 @@ let sample ?(retransmitted = false) t rtt_ns =
       t.rttvar <- ((3 * t.rttvar) + err) / 4;
       t.srtt <- ((7 * t.srtt) + rtt_ns) / 8
     end;
-    t.rto <- clamp_rto t (t.srtt + max 1000 (4 * t.rttvar))
+    t.rto <- clamp_rto t (t.srtt + Int.max 1000 (4 * t.rttvar))
   end
 
 let srtt_ns t = t.srtt

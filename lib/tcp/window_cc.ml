@@ -58,9 +58,9 @@ let dctcp_window_rollover t =
     if t.window_marked > 0 then begin
       (* DCTCP control law: cwnd <- cwnd * (1 - alpha/2). *)
       t.ssthresh <-
-        max (min_cwnd t)
+        Int.max (min_cwnd t)
           (int_of_float (float_of_int t.cwnd *. (1.0 -. (t.alpha /. 2.0))));
-      t.cwnd <- max (min_cwnd t) t.ssthresh
+      t.cwnd <- Int.max (min_cwnd t) t.ssthresh
     end;
     t.window_acked <- 0;
     t.window_marked <- 0;
@@ -80,13 +80,13 @@ let on_ack t ~acked ~ecn =
     dctcp_window_rollover t
 
 let on_fast_retransmit t =
-  t.ssthresh <- max (min_cwnd t) (t.cwnd / 2);
+  t.ssthresh <- Int.max (min_cwnd t) (t.cwnd / 2);
   t.cwnd <- t.ssthresh;
   t.ca_accum <- 0;
-  t.window_left <- min t.window_left t.cwnd
+  t.window_left <- Int.min t.window_left t.cwnd
 
 let on_timeout t =
-  t.ssthresh <- max (min_cwnd t) (t.cwnd / 2);
+  t.ssthresh <- Int.max (min_cwnd t) (t.cwnd / 2);
   t.cwnd <- min_cwnd t;
   t.ca_accum <- 0;
   t.window_acked <- 0;

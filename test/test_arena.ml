@@ -267,58 +267,136 @@ let prop_alloc_free_model =
            (fun s -> Flow_arena.in_use a s = Hashtbl.mem live s)
            (List.init cap Fun.id))
 
-(* Getter/setter pairs for every field in {!Flow_arena.field_layout} except
-   [generation] (no setter; maintained by alloc/free). *)
-let accessors :
-    (string * (Flow_arena.t -> int -> int) * (Flow_arena.t -> int -> int -> unit))
-    list =
-  Flow_arena.
+(* --- Table-3 accessors ---------------------------------------------------- *)
+
+(* [Flow_state] owns the typed accessors; [Flow_arena.read]/[write] are the
+   one raw (offset, width) path. Fields below are named as in
+   {!Flow_arena.field_layout}. [flags] reads and writes the eight named
+   flag bits as one byte. A field without a [Flow_state] setter is set at
+   [create] (or, for the shadow fields, by [sync_shadow]), so tests write
+   it raw. *)
+let flag_bits =
+  Flow_state.
     [
-      ("opaque", get_opaque, set_opaque);
-      ("seq", get_seq, set_seq);
-      ("ack", get_ack, set_ack);
-      ("tx_sent", get_tx_sent, set_tx_sent);
-      ("window", get_window, set_window);
-      ("cnt_ackb", get_cnt_ackb, set_cnt_ackb);
-      ("cnt_ecnb", get_cnt_ecnb, set_cnt_ecnb);
-      ("rtt_est", get_rtt_est, set_rtt_est);
-      ("ts_recent", get_ts_recent, set_ts_recent);
-      ("tx_span", get_tx_span, set_tx_span);
-      ("rx_span", get_rx_span, set_rx_span);
-      ("ooo_start", get_ooo_start, set_ooo_start);
-      ("ooo_len", get_ooo_len, set_ooo_len);
-      ("peer_ip", get_peer_ip, set_peer_ip);
-      ("local_port", get_local_port, set_local_port);
-      ("peer_port", get_peer_port, set_peer_port);
-      ("context", get_context, set_context);
-      ("dupack_cnt", get_dupack_cnt, set_dupack_cnt);
-      ("cnt_frexmits", get_cnt_frexmits, set_cnt_frexmits);
-      ("peer_mac", get_peer_mac, set_peer_mac);
-      ("peer_wscale", get_peer_wscale, set_peer_wscale);
-      ("flags", get_flags, set_flags);
-      ("rx_head", get_rx_head, set_rx_head);
-      ("rx_tail", get_rx_tail, set_rx_tail);
-      ("tx_head", get_tx_head, set_tx_head);
-      ("tx_tail", get_tx_tail, set_tx_tail);
-      ("rx_size", get_rx_size, set_rx_size);
-      ("tx_size", get_tx_size, set_tx_size);
+      (in_recovery, set_in_recovery);
+      (rx_notified, set_rx_notified);
+      (tx_notified, set_tx_notified);
+      (tx_interest, set_tx_interest);
+      (tx_timer_armed, set_tx_timer_armed);
+      (fin_received, set_fin_received);
+      (fin_sent, set_fin_sent);
+      (rx_closed, set_rx_closed);
     ]
 
-let lookup_accessor name =
-  List.find_opt (fun (n, _, _) -> n = name) accessors
+let get_flags f =
+  List.fold_left
+    (fun (acc, bit) (get, _) ->
+      ((if get f then acc lor (1 lsl bit) else acc), bit + 1))
+    (0, 0) flag_bits
+  |> fst
+
+let set_flags f v =
+  List.iteri (fun bit (_, set) -> set f (v land (1 lsl bit) <> 0)) flag_bits
+
+let getters : (string * (Flow_state.t -> int)) list =
+  Flow_state.
+    [
+      ("opaque", opaque);
+      ("seq", seq);
+      ("ack", ack);
+      ("tx_sent", tx_sent);
+      ("window", window);
+      ("cnt_ackb", cnt_ackb);
+      ("cnt_ecnb", cnt_ecnb);
+      ("rtt_est", rtt_est);
+      ("ts_recent", ts_recent);
+      ("tx_span", tx_span);
+      ("rx_span", rx_span);
+      ("peer_ip", peer_ip);
+      ("local_port", local_port);
+      ("peer_port", peer_port);
+      ("context", context);
+      ("dupack_cnt", dupack_cnt);
+      ("cnt_frexmits", cnt_frexmits);
+      ("peer_mac", peer_mac);
+      ("peer_wscale", peer_wscale);
+      ("flags", get_flags);
+    ]
+
+let setters : (string * (Flow_state.t -> int -> unit)) list =
+  Flow_state.
+    [
+      ("seq", set_seq);
+      ("ack", set_ack);
+      ("tx_sent", set_tx_sent);
+      ("window", set_window);
+      ("cnt_ackb", set_cnt_ackb);
+      ("cnt_ecnb", set_cnt_ecnb);
+      ("rtt_est", set_rtt_est);
+      ("ts_recent", set_ts_recent);
+      ("tx_span", set_tx_span);
+      ("rx_span", set_rx_span);
+      ("context", set_context);
+      ("dupack_cnt", set_dupack_cnt);
+      ("cnt_frexmits", set_cnt_frexmits);
+      ("flags", set_flags);
+    ]
+
+(* Shadow fields: no typed accessor, only [sync_shadow] and the allocator
+   write them. *)
+let shadow_fields =
+  [ "ooo_start"; "ooo_len"; "generation"; "rx_head"; "rx_tail"; "tx_head";
+    "tx_tail"; "rx_size"; "tx_size" ]
+
+let layout name =
+  List.find (fun (n, _, _) -> n = name) Flow_arena.field_layout
+
+let is_span name = name = "tx_span" || name = "rx_span"
+
+let raw_read f name =
+  let _, off, width = layout name in
+  Flow_arena.read (Flow_state.arena f) (Flow_state.slot f) ~off ~width
+
+let raw_write f name v =
+  let _, off, width = layout name in
+  Flow_arena.write (Flow_state.arena f) (Flow_state.slot f) ~off ~width v
+
+(* Through [Flow_state] where it has the accessor, else raw. *)
+let write_field f name v =
+  match List.assoc_opt name setters with
+  | Some set -> set f v
+  | None -> raw_write f name v
+
+let read_field f name =
+  match List.assoc_opt name getters with
+  | Some get -> get f
+  | None -> raw_read f name
 
 (* What a write of [v] must read back as, given the field's declared byte
    width: wrap at the width, except the signed span fields which
-   sign-extend their 32 bits. *)
-let expected_after_write name width v =
-  match name with
-  | "tx_span" | "rx_span" ->
+   sign-extend their 32 bits. [~raw] is the zero-extended raw reading. *)
+let expected_after_write ?(raw = false) name width v =
+  if is_span name && not raw then
     let m = v land 0xFFFF_FFFF in
     if m land 0x8000_0000 <> 0 then m - 0x1_0000_0000 else m
-  | _ -> if width >= 8 then v else v land ((1 lsl (width * 8)) - 1)
+  else if width >= 8 then v
+  else v land ((1 lsl (width * 8)) - 1)
+
+(* A flow in [arena] whose create-time fields are all zero. *)
+let mk_flow ?(opaque = 0) ?(local_port = 0) ?(peer_ip = 0) ?(peer_port = 0)
+    ?(peer_mac = 0) ?(peer_wscale = 0) ?(context = 0) ?(tx_iss = 0)
+    ?(rx_next = 0) ?(window = 0) arena =
+  let sim = Sim.create () in
+  let bucket =
+    Rate_bucket.create sim (Rate_bucket.Rate 10e9) ~burst_bytes:4096
+  in
+  Flow_state.create ~arena ~opaque ~context ~bucket ~rx_buf_size:64
+    ~tx_buf_size:128 ~local_port ~peer_ip ~peer_port ~peer_mac ~tx_iss
+    ~rx_next ~window ~peer_wscale ()
 
 (* The layout table is complete and really is the 102-byte Table-3 record:
-   fields sorted by offset, non-overlapping, covering [0, slot_bytes). *)
+   fields sorted by offset, non-overlapping, covering [0, slot_bytes); each
+   has a typed getter or is a shadow field. *)
 let test_layout_is_table3 () =
   let l = Flow_arena.field_layout in
   Alcotest.(check int) "102-byte record" 102 Flow_arena.slot_bytes;
@@ -336,119 +414,265 @@ let test_layout_is_table3 () =
           !last_end;
       last_end := off + width;
       covered := !covered + width;
-      if name <> "generation" && Option.is_none (lookup_accessor name) then
-        Alcotest.failf "field %s has no accessor pair under test" name)
+      if (not (List.mem name shadow_fields))
+         && not (List.mem_assoc name getters)
+      then Alcotest.failf "field %s has no typed getter under test" name)
     l;
   Alcotest.(check int) "fields tile the whole slot" Flow_arena.slot_bytes
     !covered
 
 (* Exhaustive neighbour-isolation check: write a distinct pattern into
    every field of two adjacent slots, then verify every field of both slots
-   reads back its own pattern — any offset/width error clobbers a
-   neighbour and fails. *)
+   reads back its own pattern, typed and raw — any offset/width error in
+   either path clobbers a neighbour or misreads and fails. *)
 let test_field_isolation () =
   let a = Flow_arena.create ~capacity:4 () in
-  let s0 = Option.get (Flow_arena.alloc a) in
-  let s1 = Option.get (Flow_arena.alloc a) in
-  let pattern slot i = 0x0101_0101_0101 * (i + 1) + slot in
-  let each f =
-    List.iteri
-      (fun i (name, _, width) ->
-        match lookup_accessor name with
-        | None -> ()
-        | Some (_, get, set) -> f i name width get set)
-      Flow_arena.field_layout
+  let f0 = mk_flow a in
+  let f1 = mk_flow a in
+  let pattern f i = 0x0101_0101_0101 * (i + 1) + Flow_state.slot f in
+  let fields =
+    List.filter (fun (n, _, _) -> n <> "generation") Flow_arena.field_layout
   in
   List.iter
-    (fun slot -> each (fun i _ _ _ set -> set a slot (pattern slot i)))
-    [ s0; s1 ];
+    (fun f ->
+      List.iteri
+        (fun i (name, _, _) -> write_field f name (pattern f i))
+        fields)
+    [ f0; f1 ];
   List.iter
-    (fun slot ->
-      each (fun i name width get _ ->
-          Alcotest.(check int)
-            (Printf.sprintf "slot %d field %s" slot name)
-            (expected_after_write name width (pattern slot i))
-            (get a slot)))
-    [ s0; s1 ]
+    (fun f ->
+      List.iteri
+        (fun i (name, _, width) ->
+          let label =
+            Printf.sprintf "slot %d field %s" (Flow_state.slot f) name
+          in
+          Alcotest.(check int) label
+            (expected_after_write name width (pattern f i))
+            (read_field f name);
+          Alcotest.(check int) (label ^ " raw")
+            (expected_after_write ~raw:true name width (pattern f i))
+            (raw_read f name))
+        fields)
+    [ f0; f1 ]
 
 (* Random single-field round-trips, weighted toward the 2^31/2^32
    wrap boundary. *)
+let interesting_int =
+  QCheck.Gen.oneof
+    [
+      QCheck.Gen.(map abs nat);
+      QCheck.Gen.int;
+      QCheck.Gen.oneofl
+        [ 0; 1; -1; 0x7FFF_FFFE; 0x7FFF_FFFF; 0x8000_0000; 0xFFFF_FFFE;
+          0xFFFF_FFFF; 0x1_0000_0000; 0x1_0000_0001; 0xFFFF; 0x1_0000;
+          max_int; min_int ];
+    ]
+
 let prop_field_roundtrip =
-  let n_fields = List.length accessors in
-  let interesting =
-    QCheck.Gen.oneof
-      [
-        QCheck.Gen.(map abs nat);
-        QCheck.Gen.oneofl
-          [
-            0;
-            1;
-            0x7FFF_FFFE;
-            0x7FFF_FFFF;
-            0x8000_0000;
-            0xFFFF_FFFE;
-            0xFFFF_FFFF;
-            0x1_0000_0000;
-            0x1_0000_0001;
-            0xFFFF;
-            0x1_0000;
-            max_int;
-          ];
-      ]
+  let fields =
+    List.filter (fun (n, _, _) -> n <> "generation") Flow_arena.field_layout
   in
+  let n_fields = List.length fields in
   QCheck.Test.make ~count:500 ~name:"field round-trip at declared width"
     (QCheck.make
        ~print:(fun (f, v) ->
-         let name, _, _ = List.nth accessors f in
+         let name, _, _ = List.nth fields f in
          Printf.sprintf "%s <- %d" name v)
-       QCheck.Gen.(pair (int_bound (n_fields - 1)) interesting))
-    (fun (f, v) ->
-      let name, get, set = List.nth accessors f in
-      let _, _, width =
-        List.find (fun (n, _, _) -> n = name) Flow_arena.field_layout
-      in
+       QCheck.Gen.(pair (int_bound (n_fields - 1)) interesting_int))
+    (fun (i, v) ->
+      let name, _, width = List.nth fields i in
       let a = Flow_arena.create ~capacity:2 () in
-      let s0 = Option.get (Flow_arena.alloc a) in
-      let s1 = Option.get (Flow_arena.alloc a) in
-      set a s1 0;
-      set a s0 v;
-      get a s0 = expected_after_write name width v && get a s1 = 0)
+      let f0 = mk_flow a in
+      let f1 = mk_flow a in
+      let image f = List.init Flow_arena.slot_bytes (fun off ->
+          Flow_arena.read a (Flow_state.slot f) ~off ~width:1) in
+      let before = image f1 in
+      write_field f0 name v;
+      read_field f0 name = expected_after_write name width v
+      && raw_read f0 name = expected_after_write ~raw:true name width v
+      && image f1 = before)
 
 let test_span_sign_extension () =
-  let a = Flow_arena.create ~capacity:1 () in
-  let s = Option.get (Flow_arena.alloc a) in
-  Flow_arena.set_tx_span a s (-1);
-  Alcotest.(check int) "tx_span -1 round-trips" (-1)
-    (Flow_arena.get_tx_span a s);
-  Flow_arena.set_rx_span a s (-1);
-  Alcotest.(check int) "rx_span -1 round-trips" (-1)
-    (Flow_arena.get_rx_span a s)
+  let f = mk_flow (Flow_arena.create ~capacity:1 ()) in
+  Alcotest.(check int) "tx_span starts at -1" (-1) (Flow_state.tx_span f);
+  Alcotest.(check int) "rx_span starts at -1" (-1) (Flow_state.rx_span f);
+  Flow_state.set_tx_span f 7;
+  Flow_state.set_tx_span f (-1);
+  Alcotest.(check int) "tx_span -1 round-trips" (-1) (Flow_state.tx_span f);
+  Alcotest.(check int) "stored as u32 0xFFFFFFFF" 0xFFFF_FFFF
+    (raw_read f "tx_span");
+  Flow_state.set_rx_span f (-1);
+  Alcotest.(check int) "rx_span -1 round-trips" (-1) (Flow_state.rx_span f)
 
 let test_flag_bits_independent () =
-  let a = Flow_arena.create ~capacity:1 () in
-  let s = Option.get (Flow_arena.alloc a) in
-  for bit = 0 to 7 do
-    Flow_arena.set_flag a s ~bit true;
-    for other = 0 to 7 do
-      Alcotest.(check bool)
-        (Printf.sprintf "bit %d after setting %d" other bit)
-        (other = bit)
-        (Flow_arena.get_flag a s ~bit:other)
-    done;
-    Flow_arena.set_flag a s ~bit false
+  let f = mk_flow (Flow_arena.create ~capacity:1 ()) in
+  List.iteri
+    (fun bit (_, set) ->
+      set f true;
+      List.iteri
+        (fun other (get, _) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "bit %d after setting %d" other bit)
+            (other = bit) (get f))
+        flag_bits;
+      Alcotest.(check int)
+        (Printf.sprintf "flags byte holds bit %d" bit)
+        (1 lsl bit) (raw_read f "flags");
+      set f false)
+    flag_bits;
+  Alcotest.(check int) "all clear" 0 (raw_read f "flags")
+
+(* Differential test of both accessor layers against a byte-at-a-time
+   reference written here: random writes through [Flow_state]'s setters, its
+   flag setters and [Flow_arena.write], with a [release] somewhere in the
+   program; afterwards the handle addresses its detached slot, and a new
+   flow squats on the freed shared slot. After every step the typed
+   getters, the raw reader over every layout field and the record's whole
+   byte image must all agree with the model. *)
+type arena_op =
+  | Set of string * int
+  | Raw of string * int
+  | Flag of int * bool
+  | Release
+
+let ref_write model off width v =
+  for i = 0 to width - 1 do
+    Bytes.set model (off + i) (Char.chr ((v lsr (8 * i)) land 0xff))
+  done
+
+let ref_read model off width =
+  let v = ref 0 in
+  for i = 0 to width - 1 do
+    v := !v lor (Char.code (Bytes.get model (off + i)) lsl (8 * i))
   done;
-  Alcotest.(check int) "all clear" 0 (Flow_arena.get_flags a s)
+  !v
+
+let ref_typed model name =
+  let _, off, width = layout name in
+  let v = ref_read model off width in
+  if is_span name && v land 0x8000_0000 <> 0 then v - 0x1_0000_0000 else v
+
+let prop_accessors_match_reference =
+  let set_names = List.map fst setters in
+  let raw_names =
+    List.filter_map
+      (fun (n, _, _) -> if n = "generation" then None else Some n)
+      Flow_arena.field_layout
+  in
+  let op_gen =
+    QCheck.Gen.(
+      frequency
+        [
+          (4, map2 (fun n v -> Set (n, v)) (oneofl set_names) interesting_int);
+          (3, map2 (fun n v -> Raw (n, v)) (oneofl raw_names) interesting_int);
+          (2, map2 (fun b v -> Flag (b, v)) (int_bound 7) bool);
+          (1, return Release);
+        ])
+  in
+  let print_op = function
+    | Set (n, v) -> Printf.sprintf "set %s %d" n v
+    | Raw (n, v) -> Printf.sprintf "raw %s %d" n v
+    | Flag (b, v) -> Printf.sprintf "flag %d %b" b v
+    | Release -> "release"
+  in
+  QCheck.Test.make ~count:300 ~name:"accessors match byte-level reference"
+    (QCheck.make
+       ~print:(fun (opq, ops) ->
+         Printf.sprintf "opaque %d: %s" opq
+           (String.concat "; " (List.map print_op ops)))
+       QCheck.Gen.(pair interesting_int (list_size (int_bound 40) op_gen)))
+    (fun (opaque, ops) ->
+      let arena = Flow_arena.create ~capacity:3 () in
+      let _below = mk_flow ~opaque:(-1) arena in
+      let f =
+        mk_flow ~opaque ~local_port:0xBEEF ~peer_ip:0xC0A8_0102
+          ~peer_port:0xFFFF ~peer_mac:0xFEDC_BA98_7654 ~peer_wscale:14
+          ~context:0x1234 ~tx_iss:0xFFFF_FFFF ~rx_next:0x8000_0000
+          ~window:65535 arena
+      in
+      let model = Bytes.make Flow_arena.slot_bytes '\x00' in
+      List.iter
+        (fun (name, v) ->
+          let _, off, width = layout name in
+          ref_write model off width v)
+        [ ("opaque", opaque); ("local_port", 0xBEEF); ("peer_ip", 0xC0A8_0102);
+          ("peer_port", 0xFFFF); ("peer_mac", 0xFEDC_BA98_7654);
+          ("peer_wscale", 14); ("context", 0x1234); ("seq", 0xFFFF_FFFF);
+          ("ack", 0x8000_0000); ("window", 65535); ("tx_span", -1);
+          ("rx_span", -1); ("rx_size", 64); ("tx_size", 128) ];
+      let squatter = ref None in
+      let check step =
+        List.iter
+          (fun (name, get) ->
+            if get f <> ref_typed model name then
+              QCheck.Test.fail_reportf "after %s: %s reads %d, reference %d"
+                step name (get f) (ref_typed model name))
+          getters;
+        List.iter
+          (fun (name, off, width) ->
+            if raw_read f name <> ref_read model off width then
+              QCheck.Test.fail_reportf "after %s: raw %s reads %d, reference %d"
+                step name (raw_read f name) (ref_read model off width))
+          Flow_arena.field_layout;
+        for off = 0 to Flow_arena.slot_bytes - 1 do
+          let got =
+            Flow_arena.read (Flow_state.arena f) (Flow_state.slot f) ~off
+              ~width:1
+          in
+          if got <> Char.code (Bytes.get model off) then
+            QCheck.Test.fail_reportf "after %s: byte %d is %d, reference %d"
+              step off got (Char.code (Bytes.get model off))
+        done
+      in
+      check "create";
+      List.iter
+        (fun op ->
+          (match op with
+          | Set (name, v) ->
+            (List.assoc name setters) f v;
+            let _, off, width = layout name in
+            ref_write model off width v
+          | Raw (name, v) ->
+            raw_write f name v;
+            let _, off, width = layout name in
+            ref_write model off width v
+          | Flag (bit, v) ->
+            (snd (List.nth flag_bits bit)) f v;
+            let b = Char.code (Bytes.get model 77) in
+            Bytes.set model 77
+              (Char.chr
+                 (if v then b lor (1 lsl bit) else b land lnot (1 lsl bit)))
+          | Release ->
+            let was_live = not (Flow_state.released f) in
+            Flow_state.release f;
+            if was_live then begin
+              (* A new flow reuses the freed shared slot and scribbles
+                 on it; the released handle must not see it. *)
+              let s =
+                mk_flow ~opaque:min_int ~tx_iss:0x5A5A_5A5A ~context:0xFFFF
+                  arena
+              in
+              set_flags s 0xFF;
+              squatter := Some s
+            end);
+          (match !squatter with
+          | Some s -> Flow_state.set_seq s (Flow_state.seq s + 1)
+          | None -> ());
+          check (print_op op))
+        ops;
+      true)
 
 let test_generation_and_reuse () =
   let a = Flow_arena.create ~capacity:1 () in
   let s = Option.get (Flow_arena.alloc a) in
   let g0 = Flow_arena.generation a s in
-  Flow_arena.set_seq a s 42;
+  Flow_arena.write a s ~off:8 ~width:4 42;
   Flow_arena.free a s;
   Alcotest.(check int) "generation bumped" (g0 + 1) (Flow_arena.generation a s);
   let s' = Option.get (Flow_arena.alloc a) in
   Alcotest.(check int) "single slot reused" s s';
-  Alcotest.(check int) "slot zeroed on realloc" 0 (Flow_arena.get_seq a s');
+  Alcotest.(check int) "slot zeroed on realloc" 0
+    (Flow_arena.read a s' ~off:8 ~width:4);
   Alcotest.(check int)
     "generation survives realloc" (g0 + 1)
     (Flow_arena.generation a s')
@@ -889,6 +1113,7 @@ let suite =
     Alcotest.test_case "adjacent-slot field isolation" `Quick
       test_field_isolation;
     QCheck_alcotest.to_alcotest prop_field_roundtrip;
+    QCheck_alcotest.to_alcotest prop_accessors_match_reference;
     Alcotest.test_case "span fields sign-extend" `Quick
       test_span_sign_extension;
     Alcotest.test_case "flag bits independent" `Quick

@@ -110,6 +110,44 @@ let test_switch_routing () =
   Alcotest.(check int) "to b" 1 !got_b;
   Alcotest.(check int) "unroutable dropped" 1 (Switch.no_route_drops sw)
 
+(* Steady state: a packet's hop port -> switch (forwarding delay) -> port
+   allocates no word; the ports' FIFOs and the switch's forwarding FIFO were
+   grown by a warm-up batch of the same size. *)
+let test_hop_allocates_nothing () =
+  let sim = Sim.create () in
+  let sw = Switch.create sim () in
+  let ingress = Port.create sim ~rate_bps:1e10 ~delay:1000 () in
+  let egress = Port.create sim ~rate_bps:1e10 ~delay:1000 () in
+  let delivered = ref 0 in
+  Port.set_deliver ingress (Switch.input sw);
+  Port.set_deliver egress (fun _ -> incr delivered);
+  Switch.add_route sw (Addr.host_ip 2) (Switch.add_port sw egress);
+  let pkt = mk_packet ~dst:2 () in
+  let batch () =
+    for _ = 1 to 200 do
+      Port.enqueue ingress pkt
+    done;
+    Sim.run sim
+  in
+  batch ();
+  let w0 = Gc.minor_words () in
+  batch ();
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check int) "all delivered" 400 !delivered;
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
+let test_flow_hash_allocates_nothing () =
+  let pkt = mk_packet ~src:3 ~dst:7 ~sport:4321 ~dport:80 () in
+  Alcotest.(check int) "sym_hash of the receiver's tuple"
+    (Addr.Four_tuple.sym_hash (Packet.four_tuple_at_receiver pkt))
+    (Packet.flow_hash pkt);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Sys.opaque_identity (Packet.flow_hash pkt))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words" 0. words
+
 let test_switch_ecmp_stable () =
   let sim = Sim.create () in
   let sw = Switch.create sim ~forwarding_delay:0 () in
@@ -241,6 +279,10 @@ let suite =
       test_switch_routing;
     Alcotest.test_case "switch: ECMP is flow-stable" `Quick
       test_switch_ecmp_stable;
+    Alcotest.test_case "port -> switch -> port hop allocates nothing" `Quick
+      test_hop_allocates_nothing;
+    Alcotest.test_case "flow hash allocates nothing" `Quick
+      test_flow_hash_allocates_nothing;
     Alcotest.test_case "nic: RSS steering + rescale" `Quick
       test_nic_rss_steering;
     Alcotest.test_case "loss injector rate" `Quick test_loss_rate;
