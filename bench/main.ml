@@ -52,6 +52,9 @@ let run_perf args fmt =
   let check = List.mem "--check" args in
   let baseline =
     let rec find = function
+      | [ "--baseline" ] ->
+        Printf.eprintf "--baseline needs a value\n";
+        exit 2
       | "--baseline" :: path :: _ -> Some path
       | _ :: rest -> find rest
       | [] -> None
@@ -85,5 +88,7 @@ let () =
             None)
         ids
     in
-    Registry.run_selection ~jobs entries fmt);
+    Registry.run_selection ~jobs entries fmt;
+    Format.pp_print_flush fmt ();
+    if List.length entries < List.length ids then exit 1);
   Format.pp_print_flush fmt ()

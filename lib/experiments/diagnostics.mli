@@ -49,7 +49,7 @@ val run_with_tick :
     cross-domain view behind [tas_run stats]. *)
 type batch_stats = {
   runs : int;
-  jobs : int;  (** pool size the batch actually used *)
+  jobs : int;  (** domains the batch actually used *)
   completed : int;  (** RPCs finished, summed over runs *)
   metrics : Tas_telemetry.Metrics.sample list;
       (** {!Tas_telemetry.Metrics.merge} over every host registry of every
@@ -64,7 +64,7 @@ val batch_stats :
 (** Run [runs] (default 4) independent trace-enabled diagnostics
     simulations of increasing connection count, each for [duration_ns],
     and merge every host's metrics registry and trace ring into one
-    report. The batch fans out over a domain pool of {!Run_opts.jobs}
+    report. The batch fans out over up to {!Run_opts.jobs}
     domains; the merge is in submission order and the merged snapshot is
     sorted, so the result is byte-identical for any jobs setting.
     @raise Invalid_argument if [runs < 1] or [duration_ns <= 0]. *)

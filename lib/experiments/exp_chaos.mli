@@ -9,7 +9,7 @@
     never raised.
 
     Schedules are independent seeded simulations; with
-    {!Run_opts.set_jobs}[ N > 1] they run in parallel on a domain pool and
+    {!Run_opts.set_jobs}[ N > 1] they run in parallel on up to [N] domains and
     are merged in submission order, so the report and artifact are
     byte-identical to a serial run. *)
 

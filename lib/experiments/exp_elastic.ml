@@ -422,10 +422,7 @@ let run ?(quick = false) fmt =
      the merged timelines must be byte-identical. *)
   let serial = Array.map member idx in
   let jobs = max 2 (Run_opts.jobs ()) in
-  let parallel =
-    Tas_parallel.Domain_pool.with_pool ~jobs (fun pool ->
-        Tas_parallel.Domain_pool.map pool ~f:member idx)
-  in
+  let parallel = Tas_parallel.map ~jobs ~f:member idx in
   let serial_merged =
     Timeline.merge (Array.to_list (Array.map (fun (_, o) -> o.o_frames) serial))
   in

@@ -196,10 +196,7 @@ let run ?(quick = false) fmt =
   let idx = Array.init 3 (fun i -> i) in
   let serial_members = Array.map member idx in
   let jobs = max 2 (Run_opts.jobs ()) in
-  let par_members =
-    Tas_parallel.Domain_pool.with_pool ~jobs (fun pool ->
-        Tas_parallel.Domain_pool.map pool ~f:member idx)
-  in
+  let par_members = Tas_parallel.map ~jobs ~f:member idx in
   let serial_merged = Timeline.merge (Array.to_list serial_members) in
   let par_merged = Timeline.merge (Array.to_list par_members) in
   let parallel_ok =

@@ -173,12 +173,7 @@ let run_selection ?quick ?(jobs = 1) entries fmt =
   let entries_arr = Array.of_list entries in
   let t0 = Unix.gettimeofday () in
   let results =
-    if jobs <= 1 then Array.map (fun e -> run_captured ?quick e) entries_arr
-    else
-      Tas_parallel.Domain_pool.with_pool ~jobs (fun pool ->
-          Tas_parallel.Domain_pool.map pool
-            ~f:(fun e -> run_captured ?quick e)
-            entries_arr)
+    Tas_parallel.map ~jobs ~f:(fun e -> run_captured ?quick e) entries_arr
   in
   let run_wall = Unix.gettimeofday () -. t0 in
   let serial_estimate =

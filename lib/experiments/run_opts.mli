@@ -22,7 +22,7 @@ val set_jobs : int -> unit
 val jobs : unit -> int
 (** The recorded parallelism (default 1). Experiments with internal
     independent sub-runs (chaos schedules, stats batches) fan out over
-    their own domain pool of this size; the deterministic merge keeps
+    this many domains; the deterministic merge keeps
     their output byte-identical to a serial run. *)
 
 val set_timeline_interval_ns : int -> unit

@@ -49,7 +49,6 @@ module Rpc_echo = Tas_apps.Rpc_echo
 module Metrics = Tas_telemetry.Metrics
 module Trace = Tas_telemetry.Trace
 module J = Tas_telemetry.Json
-module Domain_pool = Tas_parallel.Domain_pool
 
 (* --- Pinned digests ---------------------------------------------------- *)
 
@@ -144,19 +143,18 @@ let chaos_faults () =
   (fault_ab, fault_ba)
 
 (* The three echo runs are independent seeded simulations. They run once,
-   on a two-domain pool, so arena slabs are exercised from two domains at
-   once; each test then checks its own pin. *)
+   on two domains ([Tas_parallel.map ~jobs:2]), so arena slabs are exercised
+   from two domains at once; each test then checks its own pin. *)
 let echo_runs =
   lazy
-    (Domain_pool.with_pool ~jobs:2 (fun pool ->
-         Domain_pool.map pool ~f:(fun run -> run ())
-           [|
-             (fun () -> observe ~seed:7 ());
-             (fun () -> observe ~loss_rate:0.02 ~seed:11 ());
-             (fun () ->
-               let fault_ab, fault_ba = chaos_faults () in
-               observe ~fault_ab ~fault_ba ~seed:23 ());
-           |]))
+    (Tas_parallel.map ~jobs:2 ~f:(fun run -> run ())
+       [|
+         (fun () -> observe ~seed:7 ());
+         (fun () -> observe ~loss_rate:0.02 ~seed:11 ());
+         (fun () ->
+           let fault_ab, fault_ba = chaos_faults () in
+           observe ~fault_ab ~fault_ba ~seed:23 ());
+       |])
 
 (* Each pin below is the md5 that the arena run and the boxed-record run
    both produced for this workload when the boxed record was last a

@@ -1,10 +1,8 @@
-(* Multicore execution subsystem: work-stealing deque semantics, domain-pool
-   ordered map and fault containment, the -j1 vs -jN determinism contract of
+(* Multicore execution subsystem: the ordered, self-scheduling parallel
+   map and its fault containment, the -j1 vs -jN determinism contract of
    the experiment runner, and the hot-path allocation machinery it pairs
    with (buffer pool, packet payload refcounting). *)
 
-module Work_deque = Tas_parallel.Work_deque
-module Domain_pool = Tas_parallel.Domain_pool
 module Registry = Tas_experiments.Registry
 module Run_opts = Tas_experiments.Run_opts
 module Buf_pool = Tas_buffers.Buf_pool
@@ -13,132 +11,81 @@ module Addr = Tas_proto.Addr
 module Tcp = Tas_proto.Tcp_header
 module Sim = Tas_engine.Sim
 
-(* --- Work_deque ------------------------------------------------------------ *)
-
-let test_deque_lifo_pop_fifo_steal () =
-  let d = Work_deque.create () in
-  List.iter (Work_deque.push d) [ 1; 2; 3; 4; 5 ];
-  Alcotest.(check int) "size" 5 (Work_deque.size d);
-  Alcotest.(check (option int)) "pop takes newest" (Some 5) (Work_deque.pop d);
-  Alcotest.(check (option int)) "steal takes oldest" (Some 1)
-    (Work_deque.steal d);
-  Alcotest.(check (option int)) "steal next oldest" (Some 2)
-    (Work_deque.steal d);
-  Alcotest.(check (option int)) "pop next newest" (Some 4) (Work_deque.pop d);
-  Alcotest.(check (option int)) "last element" (Some 3) (Work_deque.pop d);
-  Alcotest.(check (option int)) "pop empty" None (Work_deque.pop d);
-  Alcotest.(check (option int)) "steal empty" None (Work_deque.steal d)
-
-let test_deque_grows_past_capacity_hint () =
-  let d = Work_deque.create ~capacity:2 () in
-  let n = 1000 in
-  for i = 1 to n do
-    Work_deque.push d i
-  done;
-  let sum = ref 0 and count = ref 0 in
-  let rec drain () =
-    match Work_deque.pop d with
-    | Some v ->
-      sum := !sum + v;
-      incr count;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Alcotest.(check int) "every push popped" n !count;
-  Alcotest.(check int) "values intact" (n * (n + 1) / 2) !sum
-
-let test_deque_concurrent_steal_exactly_once () =
-  (* All pushes happen before the thieves start (the pool's batch
-     discipline); then 3 stealers race the owner's pops. Every element must
-     surface exactly once across all four participants. *)
-  let d = Work_deque.create () in
-  let n = 20_000 in
-  for i = 1 to n do
-    Work_deque.push d i
-  done;
-  let go = Atomic.make false in
-  let stealer () =
-    while not (Atomic.get go) do
-      Domain.cpu_relax ()
-    done;
-    let got = ref [] in
-    let rec loop () =
-      match Work_deque.steal d with
-      | Some v ->
-        got := v :: !got;
-        loop ()
-      | None -> if Work_deque.size d > 0 then loop ()
-    in
-    loop ();
-    !got
-  in
-  let thieves = Array.init 3 (fun _ -> Domain.spawn stealer) in
-  Atomic.set go true;
-  let mine = ref [] in
-  let rec pop_all () =
-    match Work_deque.pop d with
-    | Some v ->
-      mine := v :: !mine;
-      pop_all ()
-    | None -> ()
-  in
-  pop_all ();
-  let stolen = Array.to_list (Array.map Domain.join thieves) in
-  let all = List.concat (!mine :: stolen) in
-  Alcotest.(check int) "element count conserved" n (List.length all);
-  let sorted = List.sort compare all in
-  Alcotest.(check bool) "each element exactly once" true
-    (List.equal ( = ) sorted (List.init n (fun i -> i + 1)))
-
-(* --- Domain_pool ----------------------------------------------------------- *)
+(* --- Tas_parallel.map ------------------------------------------------------ *)
 
 let test_pool_map_submission_order () =
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
-      Alcotest.(check int) "pool size" 4 (Domain_pool.jobs pool);
-      let inputs = Array.init 100 (fun i -> i) in
-      let out = Domain_pool.map pool ~f:(fun i -> i * i) inputs in
-      Alcotest.(check bool) "results at submission indices" true
-        (out = Array.init 100 (fun i -> i * i));
-      (* A second batch on the same pool works: workers return to idle. *)
-      let out2 = Domain_pool.map pool ~f:(fun i -> i + 1) inputs in
-      Alcotest.(check bool) "pool reusable across batches" true
-        (out2 = Array.init 100 (fun i -> i + 1)))
+  let inputs = Array.init 100 (fun i -> i) in
+  let out = Tas_parallel.map ~jobs:4 ~f:(fun i -> i * i) inputs in
+  Alcotest.(check bool) "results at submission indices" true
+    (out = Array.init 100 (fun i -> i * i))
 
 let test_pool_jobs_one_runs_inline () =
-  Domain_pool.with_pool ~jobs:1 (fun pool ->
-      let out = Domain_pool.map pool ~f:(fun i -> 2 * i) [| 1; 2; 3 |] in
-      Alcotest.(check bool) "inline map" true (out = [| 2; 4; 6 |]))
+  let self = Domain.self () in
+  let out =
+    Tas_parallel.map ~jobs:1
+      ~f:(fun i -> (2 * i, Domain.self () = self))
+      [| 1; 2; 3 |]
+  in
+  Alcotest.(check bool) "inline map" true
+    (out = [| (2, true); (4, true); (6, true) |])
 
 exception Boom of int
 
 let test_pool_exceptions_contained () =
-  Domain_pool.with_pool ~jobs:4 (fun pool ->
-      let inputs = Array.init 32 (fun i -> i) in
-      let out =
-        Domain_pool.map_result pool
-          ~f:(fun i -> if i mod 2 = 1 then raise (Boom i) else i * 10)
-          inputs
-      in
-      Array.iteri
-        (fun i r ->
-          match r with
-          | Ok v ->
-            Alcotest.(check bool) "even index ok" true (i mod 2 = 0 && v = i * 10)
-          | Error (Boom j) ->
-            Alcotest.(check bool) "odd index raised its own error" true
-              (i mod 2 = 1 && j = i)
-          | Error e -> raise e)
-        out;
-      (* [map] re-raises the first error by submission order... *)
-      (match Domain_pool.map pool ~f:(fun i -> raise (Boom i)) inputs with
-      | _ -> Alcotest.fail "expected Boom"
-      | exception Boom 0 -> ()
-      | exception e -> raise e);
-      (* ...and the pool survives both faulty batches without deadlock. *)
-      let out2 = Domain_pool.map pool ~f:(fun i -> i + 1) [| 1; 2; 3; 4 |] in
-      Alcotest.(check bool) "pool alive after exceptions" true
-        (out2 = [| 2; 3; 4; 5 |]))
+  let ran = Atomic.make 0 in
+  let inputs = Array.init 32 (fun i -> i) in
+  (match
+     Tas_parallel.map ~jobs:4
+       ~f:(fun i ->
+         Atomic.incr ran;
+         if i mod 2 = 1 then raise (Boom i) else i * 10)
+       inputs
+   with
+  | _ -> Alcotest.fail "expected Boom"
+  | exception Boom 1 -> ()
+  | exception e -> raise e);
+  Alcotest.(check int) "every job ran despite the raises" 32 (Atomic.get ran);
+  let out = Tas_parallel.map ~jobs:4 ~f:(fun i -> i + 1) [| 1; 2; 3; 4 |] in
+  Alcotest.(check bool) "map works after a faulty batch" true
+    (out = [| 2; 3; 4; 5 |])
+
+let test_map_nested () =
+  (* The shape of [bench/main.exe -j 2] running ch/el/tl: each outer job
+     fans out its own sub-runs. *)
+  let out =
+    Tas_parallel.map ~jobs:2
+      ~f:(fun i ->
+        Tas_parallel.map ~jobs:2 ~f:(fun j -> (10 * i) + j) [| 0; 1; 2 |])
+      [| 1; 2; 3; 4 |]
+  in
+  Alcotest.(check bool) "inner results in order inside outer order" true
+    (out = Array.init 4 (fun i -> Array.init 3 (fun j -> (10 * (i + 1)) + j)))
+
+let test_map_clamps_to_inputs () =
+  (* Domain ids are handed out in spawn order, so the id of a probe domain
+     spawned before and after the call bounds how many [map] spawned. *)
+  let probe () = (Domain.join (Domain.spawn Domain.self) :> int) in
+  let before = probe () in
+  let ids =
+    Tas_parallel.map ~jobs:16
+      ~f:(fun _ ->
+        Unix.sleepf 0.01;
+        (Domain.self () :> int))
+      [| 0; 1; 2 |]
+  in
+  let spawned = probe () - before - 1 in
+  let distinct = List.sort_uniq compare (Array.to_list ids) in
+  Alcotest.(check bool) "at most 3 domains ran the 3 inputs" true
+    (List.length distinct <= 3);
+  Alcotest.(check bool) "at most 2 domains spawned besides the caller" true
+    (spawned <= 2)
+
+let test_map_empty_and_invalid () =
+  Alcotest.(check int) "empty input" 0
+    (Array.length (Tas_parallel.map ~jobs:4 ~f:(fun i -> i + 1) [||]));
+  Alcotest.check_raises "jobs = 0 rejected"
+    (Invalid_argument "Tas_parallel.map: jobs < 1") (fun () ->
+      ignore (Tas_parallel.map ~jobs:0 ~f:(fun i -> i) [| 1 |]))
 
 (* --- Experiment-runner determinism: -j1 vs -j4 ----------------------------- *)
 
@@ -288,17 +235,16 @@ let test_sim_post_ordering () =
 
 let suite =
   [
-    Alcotest.test_case "deque: LIFO pop, FIFO steal" `Quick
-      test_deque_lifo_pop_fifo_steal;
-    Alcotest.test_case "deque: grows past capacity hint" `Quick
-      test_deque_grows_past_capacity_hint;
-    Alcotest.test_case "deque: concurrent steal exactly-once" `Quick
-      test_deque_concurrent_steal_exactly_once;
     Alcotest.test_case "pool: map in submission order" `Quick
       test_pool_map_submission_order;
     Alcotest.test_case "pool: jobs=1 inline" `Quick test_pool_jobs_one_runs_inline;
     Alcotest.test_case "pool: exceptions contained, pool survives" `Quick
       test_pool_exceptions_contained;
+    Alcotest.test_case "map: nested calls" `Quick test_map_nested;
+    Alcotest.test_case "map: clamps domains to input count" `Quick
+      test_map_clamps_to_inputs;
+    Alcotest.test_case "map: empty input, jobs=0 rejected" `Quick
+      test_map_empty_and_invalid;
     Alcotest.test_case "runner: -j4 output identical to -j1" `Quick
       test_parallel_output_matches_serial;
     Alcotest.test_case "buf pool: exact-length reuse" `Quick

@@ -310,10 +310,7 @@ let test_same_seed_identical () =
 let test_parallel_matches_serial () =
   let idx = Array.init 4 (fun i -> 4 + i) in
   let serial = Array.map diag_timeline_bytes idx in
-  let parallel =
-    Tas_parallel.Domain_pool.with_pool ~jobs:4 (fun pool ->
-        Tas_parallel.Domain_pool.map pool ~f:diag_timeline_bytes idx)
-  in
+  let parallel = Tas_parallel.map ~jobs:4 ~f:diag_timeline_bytes idx in
   Alcotest.(check bool) "4 members identical across -j4" true
     (serial = parallel)
 
